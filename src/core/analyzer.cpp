@@ -1,6 +1,7 @@
 #include "core/analyzer.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/body_interp.h"
 #include "frontend/printer.h"
@@ -129,14 +130,15 @@ void Analyzer::assume_ge(const ast::VarDecl* decl, int64_t lo) {
 
 void Analyzer::run() { run(nullptr); }
 
-void Analyzer::run(const std::set<const ast::FuncDecl*>* only) {
+void Analyzer::run(const std::set<const ast::FuncDecl*>* only, const ipa::CallGraph* graph) {
   if (summaries_ && program_has_calls_) {
-    ipa::CallGraph graph(program_);
+    std::optional<ipa::CallGraph> own;
+    if (graph == nullptr) graph = &own.emplace(program_);
     // The restricted path probes the shared cache by content key, so every
     // function must be keyed up front (idempotent; a no-op when the caller
     // already keyed the program).
-    if (only != nullptr && summaries_->shared()) key_all_functions(graph);
-    compute_summaries(graph, only);
+    if (only != nullptr && summaries_->shared()) key_all_functions(*graph);
+    compute_summaries(*graph, only);
   }
   for (const auto& function : program_.functions) {
     if (only != nullptr && only->count(function.get()) == 0) continue;
@@ -883,7 +885,7 @@ const ipa::FunctionSummary* Analyzer::obtain_summary(const ast::FuncDecl* functi
       key = h.key();
       bool from_store = false;
       if (auto portable = shared->find(key, &from_store)) {
-        if (auto summary = ipa::rehydrate(*portable, program_, symbols_)) {
+        if (auto summary = ipa::rehydrate(*portable, summaries_->scope(program_))) {
           if (scc_functions_.count(function)) summaries_->note_scc_summary();
           return &summaries_->insert(function, options_, fingerprint,
                                      std::move(*summary), /*from_shared=*/true,
@@ -909,7 +911,7 @@ const ipa::FunctionSummary* Analyzer::obtain_summary(const ast::FuncDecl* functi
   // compute_scc_content_keys).
   const bool publishable = stored.analyzable || scc_functions_.count(function);
   if (shared && key && publishable) {
-    if (auto portable = ipa::to_portable(stored, program_, symbols_,
+    if (auto portable = ipa::to_portable(stored, summaries_->scope(program_),
                                          /*allow_unanalyzable=*/true)) {
       shared->insert(key, std::move(*portable));
     }

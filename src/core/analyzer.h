@@ -169,7 +169,10 @@ class Analyzer {
   // Restricted run for incremental re-analysis: only functions in `only` get
   // per-loop snapshots, and summaries are materialized only for their callee
   // closure (everything a restricted analysis can request). nullptr = "all".
-  void run(const std::set<const ast::FuncDecl*>* only);
+  // `graph`, when given, is the program's call graph the caller already
+  // built; otherwise run() builds its own.
+  void run(const std::set<const ast::FuncDecl*>* only,
+           const ipa::CallGraph* graph = nullptr);
 
   // Computes the cross-program content key of every function (bottom-up, so
   // callee keys exist before their callers fold them in). Idempotent; call

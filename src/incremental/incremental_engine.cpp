@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
+#include <string_view>
 
 #include "frontend/printer.h"
 #include "frontend/sema.h"
@@ -36,22 +37,30 @@ std::vector<const ast::VarDecl*> enumerate_locals(const ast::FuncDecl& function)
 struct FuncShape {
   std::pair<uint64_t, uint64_t> content_key;
   std::pair<uint64_t, uint64_t> layout;
-  uint32_t first_line = 0;
+  // The function's name token: no node of the function precedes it, so its
+  // line also starts the function's line span.
+  support::SourceLocation anchor;
 };
 
-// Layout hash: every node kind + source location of the function, signature
-// included. Content keys ignore locations (printed source only), so this is
-// the second half of the reuse test — an unchanged layout means every cached
-// line number (in verdicts and W03xx messages) is still accurate.
+// Layout hash: every node kind + source position of the function, signature
+// included, with lines and byte offsets taken relative to the function's
+// name token (columns as they are). Content keys ignore positions (printed
+// source only), so this is the second half of the reuse test — an unchanged
+// relative layout means every cached position is still accurate once
+// shifted by the function's own move (see rebase_diagnostic).
 FuncShape compute_shape(const ast::FuncDecl& function,
                         const std::pair<uint64_t, uint64_t>& content_key) {
   FuncShape shape;
   shape.content_key = content_key;
+  shape.anchor = function.location;
   ipa::ContentHasher h;
-  uint32_t first = 0;
   auto mix_loc = [&](const support::SourceLocation& loc) {
-    h.mix((static_cast<uint64_t>(loc.line) << 32) | loc.column);
-    if (loc.line != 0 && (first == 0 || loc.line < first)) first = loc.line;
+    if (loc.line == 0) {
+      h.mix(~0ull);  // unknown position: nothing to shift
+      return;
+    }
+    h.mix((static_cast<uint64_t>(loc.line - shape.anchor.line) << 32) | loc.column);
+    h.mix(static_cast<uint64_t>(loc.offset - shape.anchor.offset));
   };
   mix_loc(function.location);
   for (const auto& param : function.params) mix_loc(param->location);
@@ -67,8 +76,28 @@ FuncShape compute_shape(const ast::FuncDecl& function,
   });
   ipa::CacheKey key = h.key();
   shape.layout = {key.hi, key.lo};
-  shape.first_line = first != 0 ? first : function.location.line;
   return shape;
+}
+
+// A cached diagnostic of a function that moved by `lines` lines and `bytes`
+// bytes with its relative layout intact: shifts its position and the
+// "loop at line N" text W03xx messages carry (Analyzer::warn_unanalyzable).
+// Verdicts need no such step — their text carries no positions.
+support::Diagnostic rebase_diagnostic(support::Diagnostic d, int64_t lines, int64_t bytes) {
+  d.location.line = static_cast<uint32_t>(d.location.line + lines);
+  d.location.offset = static_cast<uint32_t>(d.location.offset + bytes);
+  static constexpr std::string_view kLoopAt = "loop at line ";
+  if (d.code >= support::DiagCode::AnalysisLoopCall &&
+      d.code <= support::DiagCode::AnalysisLoopAbruptExit &&
+      d.message.compare(0, kLoopAt.size(), kLoopAt) == 0) {
+    const size_t end = d.message.find_first_not_of("0123456789", kLoopAt.size());
+    const std::string digits = d.message.substr(kLoopAt.size(), end - kLoopAt.size());
+    if (!digits.empty()) {
+      d.message.replace(kLoopAt.size(), digits.size(),
+                        std::to_string(std::stoll(digits) + lines));
+    }
+  }
+  return d;
 }
 
 }  // namespace
@@ -138,8 +167,8 @@ UpdateResult IncrementalEngine::update(const std::string& source) {
   // keys fold the transitive callee closure in, so callers of dirty
   // functions are dirty by construction; removed callees flip their callers
   // the same way (the callee-key mix degrades to the unkeyed/unknown
-  // marker). Relocated = same key, shifted locations: summaries reuse, but
-  // verdicts/diagnostics embed line numbers, so the function re-runs.
+  // marker). A function with its key but a changed relative layout (a
+  // reformat inside it) re-runs too; one that merely moved stays clean.
   std::map<std::string, FuncShape> shapes;
   std::set<const ast::FuncDecl*> reanalyze;
   UpdateStats stats;
@@ -150,9 +179,9 @@ UpdateResult IncrementalEngine::update(const std::string& source) {
     shapes[function->name] = shape;
     auto prev = func_states_.find(function->name);
     const bool is_dirty = prev == func_states_.end() || prev->second.content_key != shape.content_key;
-    const bool relocated = !is_dirty && prev->second.layout != shape.layout;
+    const bool relaid = !is_dirty && prev->second.layout != shape.layout;
     if (is_dirty) ++stats.dirty;
-    if (is_dirty || relocated) reanalyze.insert(function.get());
+    if (is_dirty || relaid) reanalyze.insert(function.get());
   }
   stats.reanalyzed = static_cast<int>(reanalyze.size());
 
@@ -162,7 +191,7 @@ UpdateResult IncrementalEngine::update(const std::string& source) {
   // summary cannot rehydrate from the persistent cache. Every other clean
   // function's summary stays as an untouched cache entry — reuse by not
   // needing it at all.
-  state->analyzer->run(&reanalyze);
+  state->analyzer->run(&reanalyze, &graph);
 
   // --- Verdicts: fresh for the cone, rebound from cache elsewhere ----------
   core::Parallelizer parallelizer(*state->analyzer);
@@ -199,7 +228,12 @@ UpdateResult IncrementalEngine::update(const std::string& source) {
   for (const auto& function : program.functions) {
     if (reanalyze.count(function.get()) != 0) continue;
     const FuncState& prev = func_states_.at(function->name);
-    diags.insert(diags.end(), prev.diags.begin(), prev.diags.end());
+    const support::SourceLocation& now = shapes.at(function->name).anchor;
+    const int64_t lines = static_cast<int64_t>(now.line) - prev.anchor.line;
+    const int64_t bytes = static_cast<int64_t>(now.offset) - prev.anchor.offset;
+    for (const support::Diagnostic& d : prev.diags) {
+      diags.push_back(lines == 0 && bytes == 0 ? d : rebase_diagnostic(d, lines, bytes));
+    }
   }
   support::canonicalize_diagnostics(diags);
 
@@ -233,7 +267,7 @@ UpdateResult IncrementalEngine::update(const std::string& source) {
   // caller), and functions occupy disjoint line ranges in source order.
   std::vector<std::pair<uint32_t, const ast::FuncDecl*>> span_index;
   for (const auto& function : program.functions) {
-    span_index.emplace_back(shapes.at(function->name).first_line, function.get());
+    span_index.emplace_back(shapes.at(function->name).anchor.line, function.get());
   }
   std::sort(span_index.begin(), span_index.end());
   auto owner_of = [&](uint32_t line) -> const ast::FuncDecl* {
@@ -256,7 +290,7 @@ UpdateResult IncrementalEngine::update(const std::string& source) {
     const FuncShape& shape = shapes.at(function->name);
     fs.content_key = shape.content_key;
     fs.layout = shape.layout;
-    fs.first_line = shape.first_line;
+    fs.anchor = shape.anchor;
     fs.diags = std::move(diag_buckets[function->name]);
     if (reanalyze.count(function.get()) != 0) {
       // Strip AST pointers from the fresh verdicts so they survive the next

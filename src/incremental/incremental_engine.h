@@ -17,9 +17,14 @@
 //      from the caller, so a dirty caller stops hitting the old slot even
 //      when the callee body is unchanged,
 //   3. additionally marks functions whose content key is unchanged but whose
-//      source LOCATIONS shifted ("relocated") — verdicts and W03xx messages
-//      embed line numbers, so those re-run too (their summaries still reuse),
-//   4. re-summarizes/re-analyzes only dirty + relocated functions; every
+//      layout RELATIVE to their own start changed (a reformat inside the
+//      body): their cached positions cannot be shifted into place, so they
+//      re-run too (their summaries still reuse). A function that merely
+//      moved — same key, same relative layout — stays clean: verdict text
+//      carries no positions, and its cached diagnostics are rebased by the
+//      function's line and byte delta (position plus the "loop at line N"
+//      text of W03xx messages),
+//   4. re-summarizes/re-analyzes only dirty + re-laid-out functions; every
 //      clean function reuses its cached summaries (via the engine's
 //      persistent ipa::CrossProgramCache), loop verdicts, and diagnostics,
 //   5. re-annotates and re-emits, and reports diagnostics as a delta
@@ -122,15 +127,16 @@ class IncrementalEngine {
   // function name; no pointers into any AST.
   struct FuncState {
     std::pair<uint64_t, uint64_t> content_key;
-    // Hash of every node kind + source location in the function (plus the
-    // signature locations): unchanged layout means every cached line number
-    // is still accurate.
+    // Hash of every node kind + source position in the function (plus the
+    // signature), relative to `anchor`: unchanged layout means every cached
+    // position is accurate once shifted by the anchor's move.
     std::pair<uint64_t, uint64_t> layout;
-    uint32_t first_line = 0;
+    support::SourceLocation anchor;  // the function's name token
     // Immutable once built; clean functions share one vector across updates
     // instead of deep-copying hundreds of verdicts per keystroke.
     std::shared_ptr<const std::vector<CachedVerdict>> verdicts;
-    // Diagnostics attributed to this function by source-line span.
+    // Diagnostics attributed to this function by source-line span, at the
+    // positions of `anchor`.
     std::vector<support::Diagnostic> diags;
   };
   struct ProgramState;  // arena + summaries + parse + analyzer (in member order)

@@ -17,9 +17,10 @@
 namespace sspar::incremental {
 
 // Per-update counters. `dirty` counts functions whose content key changed
-// (or that are new); `reanalyzed` additionally includes relocated functions
-// (same key, shifted source locations — their verdicts embed line numbers,
-// so they re-run even though the analysis result is semantically unchanged).
+// (or that are new); `reanalyzed` additionally includes functions whose key
+// held but whose layout relative to their own start changed (a reformat
+// inside the body). A function that only moved is neither: its verdicts
+// carry no positions and its diagnostics are rebased by the move.
 struct UpdateStats {
   int functions_total = 0;
   int dirty = 0;

@@ -136,37 +136,82 @@ std::set<sym::SymbolId> collect_fact_scalar_symbols(const core::FactDB& facts) {
 }
 
 // ---------------------------------------------------------------------------
+// ProgramScope
+// ---------------------------------------------------------------------------
+
+ProgramScope::ProgramScope(const ast::Program& program) : program_(program) {
+  for (const auto& g : program.globals) {
+    global_names_.emplace(g->symbol, &g->name);
+    auto [it, fresh] = globals_.emplace(g->name, g.get());
+    if (!fresh) {
+      globals_distinct_ = false;
+      it->second = g.get();  // later references see the newer declaration
+    }
+  }
+  for (const auto& f : program.functions) functions_.emplace(f->name, f.get());
+}
+
+const std::string* ProgramScope::name_of(const ast::FuncDecl& function,
+                                         sym::SymbolId symbol) const {
+  for (const auto& p : function.params) {
+    if (p->symbol == symbol) return &p->name;
+  }
+  auto it = global_names_.find(symbol);
+  return it == global_names_.end() ? nullptr : it->second;
+}
+
+bool ProgramScope::names_distinct(const ast::FuncDecl& function) const {
+  if (!globals_distinct_) return false;
+  const auto& params = function.params;
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (globals_.count(params[i]->name) != 0) return false;
+    for (size_t j = 0; j < i; ++j) {
+      if (params[j]->name == params[i]->name) return false;
+    }
+  }
+  return true;
+}
+
+const ast::VarDecl* ProgramScope::resolve(const ast::FuncDecl& function,
+                                          const std::string& name) const {
+  for (auto p = function.params.rbegin(); p != function.params.rend(); ++p) {
+    if ((*p)->name == name) return p->get();
+  }
+  auto it = globals_.find(name);
+  return it == globals_.end() ? nullptr : it->second;
+}
+
+const ast::FuncDecl* ProgramScope::find_function(const std::string& name) const {
+  auto it = functions_.find(name);
+  return it == functions_.end() ? nullptr : it->second;
+}
+
+// ---------------------------------------------------------------------------
 // to_portable
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// Declaration namespace of one summary: SymbolId -> name for every symbol
-// its expressions may mention. Fails (sets ok=false) on two symbols sharing
-// one name — rehydration could not tell them apart.
-class DeclNames {
+// Declaration namespace of one conversion: the program's global scope
+// overlaid by one function's parameters, exactly as sema scopes them.
+class DeclScope {
  public:
-  void add(const ast::VarDecl* decl) {
-    if (!decl || !ok) return;
-    auto [it, inserted] = by_symbol_.emplace(decl->symbol, decl->name);
-    if (!inserted) return;  // same decl seen twice
-    auto [name_it, name_fresh] = by_name_.emplace(decl->name, decl->symbol);
-    if (!name_fresh && name_it->second != decl->symbol) ok = false;
-  }
+  DeclScope(const ProgramScope& scope, const ast::FuncDecl& function)
+      : scope_(scope), function_(function) {}
 
   const std::string* name_of(sym::SymbolId symbol) const {
-    auto it = by_symbol_.find(symbol);
-    return it == by_symbol_.end() ? nullptr : &it->second;
+    return scope_.name_of(function_, symbol);
+  }
+  const ast::VarDecl* resolve(const std::string& name) const {
+    return scope_.resolve(function_, name);
   }
 
-  bool ok = true;
-
  private:
-  std::map<sym::SymbolId, std::string> by_symbol_;
-  std::map<std::string, sym::SymbolId> by_name_;
+  const ProgramScope& scope_;
+  const ast::FuncDecl& function_;
 };
 
-bool expr_to_portable(const ExprPtr& e, const DeclNames& names, PortableExpr& out) {
+bool expr_to_portable(const ExprPtr& e, const DeclScope& names, PortableExpr& out) {
   if (!e) return false;
   out.kind = e->kind;
   out.value = e->value;
@@ -191,7 +236,7 @@ bool expr_to_portable(const ExprPtr& e, const DeclNames& names, PortableExpr& ou
   return true;
 }
 
-bool range_to_portable(const Range& r, const DeclNames& names, PortableRange& out) {
+bool range_to_portable(const Range& r, const DeclScope& names, PortableRange& out) {
   if (r.lo()) {
     out.lo.emplace();
     if (!expr_to_portable(r.lo(), names, *out.lo)) return false;
@@ -203,7 +248,7 @@ bool range_to_portable(const Range& r, const DeclNames& names, PortableRange& ou
   return true;
 }
 
-bool effect_to_portable(const core::ArrayWriteEffect& e, const DeclNames& names,
+bool effect_to_portable(const core::ArrayWriteEffect& e, const DeclScope& names,
                         PortableEffect& out) {
   if (!e.array) return false;
   out.array = e.array->name;
@@ -235,22 +280,19 @@ bool effect_to_portable(const core::ArrayWriteEffect& e, const DeclNames& names,
 }  // namespace
 
 std::optional<PortableSummary> to_portable(const FunctionSummary& summary,
-                                           const ast::Program& program,
-                                           const sym::SymbolTable& symbols,
+                                           const ProgramScope& scope,
                                            bool allow_unanalyzable) {
   if (!summary.function) return std::nullopt;
   if ((!summary.analyzable || summary.opaque) && !allow_unanalyzable) return std::nullopt;
 
   // The name namespace: the program's global scope plus the function's
-  // parameters — exactly what DeclResolver reconstructs on rehydration. The
+  // parameters — exactly what rehydration resolves against. The
   // whole global scope (not just declarations the summary mentions) because
   // a context-sensitive summary's entry facts may reference globals the
   // callee itself never touches (e.g. a size symbol bounding another
   // helper's fill values).
-  DeclNames names;
-  for (const auto& g : program.globals) names.add(g.get());
-  for (const auto& p : summary.function->params) names.add(p.get());
-  if (!names.ok) return std::nullopt;  // shadowed name: not portable
+  if (!scope.names_distinct(*summary.function)) return std::nullopt;  // shadowed name
+  const DeclScope names(scope, *summary.function);
 
   PortableSummary out;
   out.function = summary.function->name;
@@ -338,7 +380,6 @@ std::optional<PortableSummary> to_portable(const FunctionSummary& summary,
       return std::nullopt;
     }
   }
-  (void)symbols;
   return out;
 }
 
@@ -348,25 +389,7 @@ std::optional<PortableSummary> to_portable(const FunctionSummary& summary,
 
 namespace {
 
-// Name -> declaration for one target program + function, parameters
-// shadowing globals exactly as sema scoping does.
-class DeclResolver {
- public:
-  DeclResolver(const ast::Program& program, const ast::FuncDecl& function) {
-    for (const auto& g : program.globals) by_name_[g->name] = g.get();
-    for (const auto& p : function.params) by_name_[p->name] = p.get();
-  }
-
-  const ast::VarDecl* resolve(const std::string& name) const {
-    auto it = by_name_.find(name);
-    return it == by_name_.end() ? nullptr : it->second;
-  }
-
- private:
-  std::map<std::string, const ast::VarDecl*> by_name_;
-};
-
-ExprPtr expr_from_portable(const PortableExpr& p, const DeclResolver& decls) {
+ExprPtr expr_from_portable(const PortableExpr& p, const DeclScope& decls) {
   switch (p.kind) {
     case sym::ExprKind::Const:
       return sym::make_const(p.value);
@@ -433,7 +456,7 @@ ExprPtr expr_from_portable(const PortableExpr& p, const DeclResolver& decls) {
   return nullptr;
 }
 
-bool range_from_portable(const PortableRange& p, const DeclResolver& decls, Range& out) {
+bool range_from_portable(const PortableRange& p, const DeclScope& decls, Range& out) {
   ExprPtr lo = nullptr, hi = nullptr;
   if (p.lo) {
     lo = expr_from_portable(*p.lo, decls);
@@ -447,7 +470,7 @@ bool range_from_portable(const PortableRange& p, const DeclResolver& decls, Rang
   return true;
 }
 
-bool effect_from_portable(const PortableEffect& p, const DeclResolver& decls,
+bool effect_from_portable(const PortableEffect& p, const DeclScope& decls,
                           core::ArrayWriteEffect& out) {
   out.array = decls.resolve(p.array);
   if (!out.array) return false;
@@ -484,12 +507,10 @@ bool effect_from_portable(const PortableEffect& p, const DeclResolver& decls,
 }  // namespace
 
 std::optional<FunctionSummary> rehydrate(const PortableSummary& portable,
-                                         const ast::Program& program,
-                                         const sym::SymbolTable& symbols) {
-  (void)symbols;
-  const ast::FuncDecl* function = program.find_function(portable.function);
+                                         const ProgramScope& scope) {
+  const ast::FuncDecl* function = scope.find_function(portable.function);
   if (!function) return std::nullopt;
-  DeclResolver decls(program, *function);
+  const DeclScope decls(scope, *function);
 
   FunctionSummary out;
   out.function = function;
@@ -600,8 +621,13 @@ std::shared_ptr<const PortableSummary> CrossProgramCache::find(const CacheKey& k
     return nullptr;
   }
   ++stats_.hits;
-  ++it->second.hits;
-  if (it->second.preloaded) {
+  Entry& entry = it->second;
+  ++entry.hits;
+  if (!entry.queued) {
+    entry.queued = true;
+    changed_.push_back(key);
+  }
+  if (entry.preloaded) {
     ++stats_.preloaded_hits;
     if (from_store) *from_store = true;
   }
@@ -612,13 +638,15 @@ bool CrossProgramCache::insert_impl(const CacheKey& key, PortableSummary summary
                                     bool preloaded) {
   auto entry = std::make_shared<const PortableSummary>(std::move(summary));
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = entries_.emplace(key, Entry{std::move(entry), preloaded, 0});
+  auto [it, inserted] =
+      entries_.emplace(key, Entry{std::move(entry), preloaded, /*queued=*/!preloaded, 0});
   (void)it;
   if (inserted) {
     if (preloaded) {
       ++stats_.preloaded;
     } else {
       ++stats_.inserts;
+      changed_.push_back(key);
     }
     stats_.entries = entries_.size();
   }
@@ -633,13 +661,17 @@ void CrossProgramCache::insert_preloaded(const CacheKey& key, PortableSummary su
   insert_impl(key, std::move(summary), /*preloaded=*/true);
 }
 
-std::vector<CrossProgramCache::Snapshot> CrossProgramCache::snapshot() const {
+std::vector<CrossProgramCache::Snapshot> CrossProgramCache::take_changes() {
   std::lock_guard<std::mutex> lock(mutex_);
+  std::sort(changed_.begin(), changed_.end());
   std::vector<Snapshot> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
+  out.reserve(changed_.size());
+  for (const CacheKey& key : changed_) {
+    Entry& entry = entries_.at(key);
+    entry.queued = false;
     out.push_back(Snapshot{key, entry.summary, entry.preloaded, entry.hits});
   }
+  changed_.clear();
   return out;
 }
 

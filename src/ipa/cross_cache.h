@@ -51,6 +51,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "ipa/summary.h"
@@ -181,25 +182,55 @@ class ContentHasher {
 // Conversion (implemented in cross_cache.cpp)
 // ---------------------------------------------------------------------------
 
-// Null on any non-portable content: a symbol that is neither a global of
-// `program` nor a parameter of `summary.function` (a context-sensitive
+// Global-scope name index of one program: its globals by symbol and by name,
+// and its functions by name. Conversion resolves against this index with one
+// function's parameters overlaid, so a call costs the summary plus the
+// parameter list, never a rebuild over every global. Built once per program
+// (ipa::SummaryDB::scope owns one per session); the program must outlive it.
+class ProgramScope {
+ public:
+  explicit ProgramScope(const ast::Program& program);
+
+  const ast::Program& program() const { return program_; }
+
+  // Name of a symbol of `function`'s conversion namespace (its parameters,
+  // then the program's globals); null for any other symbol.
+  const std::string* name_of(const ast::FuncDecl& function, sym::SymbolId symbol) const;
+  // True when no two distinct symbols of that namespace share one name — a
+  // shadowing parameter (or a redeclared global) would mis-resolve on
+  // rehydration, so such summaries are not portable.
+  bool names_distinct(const ast::FuncDecl& function) const;
+  // Declaration named `name` as sema scoping sees it inside `function`: the
+  // last parameter of that name, else the last global of that name.
+  const ast::VarDecl* resolve(const ast::FuncDecl& function, const std::string& name) const;
+  // First function named `name` (Program::find_function's answer).
+  const ast::FuncDecl* find_function(const std::string& name) const;
+
+ private:
+  const ast::Program& program_;
+  std::unordered_map<sym::SymbolId, const std::string*> global_names_;
+  std::unordered_map<std::string, const ast::VarDecl*> globals_;
+  std::unordered_map<std::string, const ast::FuncDecl*> functions_;
+  bool globals_distinct_ = true;
+};
+
+// Null on any non-portable content: a symbol that is neither a global of the
+// program nor a parameter of `summary.function` (a context-sensitive
 // summary's entry facts may mention globals the callee itself never
 // references, hence the whole program's global scope), or two distinct
 // symbols sharing one declaration name (shadowing would mis-resolve on
 // rehydration). Unanalyzable summaries convert when `allow_unanalyzable`
 // (the SCC path); only their conservative sets and failure are carried.
 std::optional<PortableSummary> to_portable(const FunctionSummary& summary,
-                                           const ast::Program& program,
-                                           const sym::SymbolTable& symbols,
+                                           const ProgramScope& scope,
                                            bool allow_unanalyzable = false);
 
-// Resolves names against `program` (parameters of the named function first,
-// then globals) and interns every expression in the CURRENT arena. Null when
-// the program has no matching function/declaration shape — the caller then
-// computes locally.
+// Resolves names against the scope's program (parameters of the named
+// function first, then globals) and interns every expression in the CURRENT
+// arena. Null when the program has no matching function/declaration shape —
+// the caller then computes locally.
 std::optional<FunctionSummary> rehydrate(const PortableSummary& portable,
-                                         const ast::Program& program,
-                                         const sym::SymbolTable& symbols);
+                                         const ProgramScope& scope);
 
 // Deterministic 64-bit fingerprint of a fact database's content, serialized
 // by symbol NAME (so two programs with identical declarations produce the
@@ -259,10 +290,12 @@ class CrossProgramCache {
   // attributed to the persistent store. Same first-writer-wins contract.
   void insert_preloaded(const CacheKey& key, PortableSummary summary);
 
-  // Every entry with its preloaded/hit bookkeeping, in key order — the
-  // store's absorb() input. Entries are shared_ptr snapshots; safe to use
-  // after the lock is released.
-  std::vector<Snapshot> snapshot() const;
+  // The entries inserted or first hit since the previous call, with their
+  // preloaded/hit bookkeeping, in key order — the store's absorb() input, so
+  // an absorb costs what changed rather than the whole cache. Preloaded
+  // entries came from the store, so only a hit queues them. Entries are
+  // shared_ptr snapshots; safe to use after the lock is released.
+  std::vector<Snapshot> take_changes();
 
   Stats stats() const;
   size_t size() const;
@@ -271,6 +304,7 @@ class CrossProgramCache {
   struct Entry {
     std::shared_ptr<const PortableSummary> summary;
     bool preloaded = false;
+    bool queued = false;  // listed in changed_
     size_t hits = 0;
   };
 
@@ -278,6 +312,7 @@ class CrossProgramCache {
 
   mutable std::mutex mutex_;
   std::map<CacheKey, Entry> entries_;
+  std::vector<CacheKey> changed_;  // since the last take_changes()
   Stats stats_;
 };
 

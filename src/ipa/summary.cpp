@@ -1,10 +1,15 @@
 #include "ipa/summary.h"
 
+#include "ipa/cross_cache.h"
+
 namespace sspar::ipa {
 
 // ---------------------------------------------------------------------------
 // SummaryDB
 // ---------------------------------------------------------------------------
+
+SummaryDB::SummaryDB() = default;
+SummaryDB::~SummaryDB() = default;
 
 uint32_t SummaryDB::encode(const core::AnalyzerOptions& o) {
   uint32_t bits = 0;
@@ -56,9 +61,17 @@ const FunctionSummary& SummaryDB::insert(const ast::FuncDecl* function,
   return it->second;
 }
 
+const ProgramScope& SummaryDB::scope(const ast::Program& program) {
+  if (!scope_ || &scope_->program() != &program) {
+    scope_ = std::make_unique<const ProgramScope>(program);
+  }
+  return *scope_;
+}
+
 void SummaryDB::clear() {
   entries_.clear();
   stats_ = Stats{};
+  scope_.reset();
 }
 
 // ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -91,6 +92,7 @@ struct FunctionSummary {
 };
 
 class CrossProgramCache;
+class ProgramScope;
 
 // Per-session cache of function summaries keyed on (function, options,
 // entry-fact fingerprint). Entries intern expressions in the session's
@@ -98,6 +100,10 @@ class CrossProgramCache;
 // re-analysis with different options.
 class SummaryDB {
  public:
+  // Out of line: ProgramScope is incomplete here.
+  SummaryDB();
+  ~SummaryDB();
+
   struct Stats {
     size_t computed = 0;      // summaries built from scratch in this session
     size_t hits = 0;          // compute-time requests served from this cache
@@ -155,6 +161,10 @@ class SummaryDB {
   // Attach before any analysis; the owner must outlive this DB's use.
   void attach_shared(CrossProgramCache* shared) { shared_ = shared; }
   CrossProgramCache* shared() const { return shared_; }
+  // The global-scope name index the shared cache's conversions resolve
+  // against, built on first use and kept until clear() (a DB serves one
+  // program at a time).
+  const ProgramScope& scope(const ast::Program& program);
 
   const Stats& stats() const { return stats_; }
   size_t size() const { return entries_.size(); }
@@ -166,8 +176,9 @@ class SummaryDB {
   static uint32_t encode(const core::AnalyzerOptions& options);
 
   // Drops every summary (they reference AST nodes and arena expressions the
-  // owner is about to release) and resets the stats. The attached shared
-  // cache (if any) is left untouched: its entries are session-independent.
+  // owner is about to release), the name index, and the stats. The attached
+  // shared cache (if any) is left untouched: its entries are
+  // session-independent.
   void clear();
 
  private:
@@ -175,6 +186,7 @@ class SummaryDB {
   std::map<Key, FunctionSummary> entries_;
   Stats stats_;
   CrossProgramCache* shared_ = nullptr;
+  std::unique_ptr<const ProgramScope> scope_;
 };
 
 // Instantiates summary expressions at one call site: substitutes actuals for

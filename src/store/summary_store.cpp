@@ -631,8 +631,8 @@ size_t SummaryStore::preload(ipa::CrossProgramCache& cache) {
   return inserted;
 }
 
-void SummaryStore::absorb(const ipa::CrossProgramCache& cache) {
-  std::vector<ipa::CrossProgramCache::Snapshot> entries = cache.snapshot();
+void SummaryStore::absorb(ipa::CrossProgramCache& cache) {
+  std::vector<ipa::CrossProgramCache::Snapshot> entries = cache.take_changes();
   std::lock_guard<std::mutex> lock(mutex_);
   std::string batch;       // WAL records for this absorb, one fsync at the end
   size_t batch_count = 0;  // (journal mode only; stays empty otherwise)
@@ -640,8 +640,9 @@ void SummaryStore::absorb(const ipa::CrossProgramCache& cache) {
     auto it = records_.find(entry.key);
     if (it != records_.end()) {
       // First writer wins: never overwrite the payload. A key that was HIT
-      // this run is warm — bump its generation so eviction spares it.
-      if (entry.hits > 0) {
+      // this run is warm — bump its generation so eviction spares it, once
+      // per generation: a record already at the current one needs no Touch.
+      if (entry.hits > 0 && it->second.generation != generation_) {
         it->second.generation = generation_;
         if (options_.journal) {
           std::string body;

@@ -119,12 +119,14 @@ class SummaryStore {
   // analysis. Returns the number of entries inserted.
   size_t preload(ipa::CrossProgramCache& cache);
 
-  // First-writer-wins merge of the cache's current contents: records for new
-  // content keys are added at the current generation; records whose key was
-  // hit during the run have their generation bumped (so eviction keeps warm
-  // entries). Existing payloads are never overwritten. Thread-safe; a server
-  // absorbs after every request.
-  void absorb(const ipa::CrossProgramCache& cache);
+  // First-writer-wins merge of what changed in the cache since its previous
+  // absorb (CrossProgramCache::take_changes): records for new content keys
+  // are added at the current generation; records whose key was hit have
+  // their generation bumped (so eviction keeps warm entries), journaling one
+  // Touch per record per generation. Existing payloads are never
+  // overwritten. Thread-safe; a server absorbs after every request. A cache
+  // feeds one store: the absorb consumes its change list.
+  void absorb(ipa::CrossProgramCache& cache);
 
   // Evicts down to the size cap, then atomically rewrites the backing file
   // (write "<path>.tmp", fsync, rename over `path`) and truncates the

@@ -171,6 +171,119 @@ void driver(void) {
   EXPECT_EQ(r.delta.removed.size(), 0u);
 }
 
+// --------------------------------------------------------------------------
+// Line shifts: a function that moved with its content key and its relative
+// layout intact stays clean; its cached diagnostics are rebased.
+// --------------------------------------------------------------------------
+
+// Canonical diagnostics down to the byte offset (Diagnostic::operator==
+// leaves the offset out, and rebasing shifts it too).
+std::vector<std::string> diag_lines(const std::vector<support::Diagnostic>& diags) {
+  std::vector<std::string> out;
+  for (const support::Diagnostic& d : diags) {
+    out.push_back(d.to_string() + " @" + std::to_string(d.location.offset));
+  }
+  return out;
+}
+
+void expect_diags_match_cold(const UpdateResult& update, const std::string& source,
+                             const pipeline::Assumptions& assumptions) {
+  driver::ProgramReport cold = cold_reference(source, assumptions, 1);
+  std::vector<support::Diagnostic> diags = cold.result.diags;
+  support::canonicalize_diagnostics(diags);
+  EXPECT_EQ(diag_lines(update.diagnostics), diag_lines(diags));
+}
+
+TEST(IncrementalEngine, LineShiftReusesMovedFunctionsAndRebasesTheirDiagnostics) {
+  const pipeline::Assumptions assume = {{"n", 1}};
+  const std::string base = R"(int n;
+int a[100];
+int b[100];
+int idx[100];
+void fill(void) {
+  for (int i = 0; i < n; i++) {
+    idx[i] = i + 1;
+  }
+}
+void probe(void) {
+  for (int i = 0; i < n; i++) {
+    a[i] = mystery(i);
+  }
+}
+void scale(void) {
+  int t;
+  for (int i = 0; i < n; i++) {
+    t = b[i];
+    a[idx[i]] = t * 2;
+  }
+}
+void driver(void) {
+  fill();
+  probe();
+  scale();
+}
+)";
+  EngineOptions options;
+  options.assumptions = assume;
+  IncrementalEngine engine(options);
+  UpdateResult r = engine.update(base);
+  expect_matches_cold(r, base, assume, "base");
+  expect_diags_match_cold(r, base, assume);
+  ASSERT_EQ(r.diagnostics.size(), 1u) << "probe's loop calls an undefined function";
+  EXPECT_EQ(r.diagnostics[0].code, support::DiagCode::AnalysisLoopCall);
+  EXPECT_EQ(r.diagnostics[0].location.line, 12u);
+  EXPECT_EQ(r.diagnostics[0].message.rfind("loop at line 11 ", 0), 0u)
+      << r.diagnostics[0].message;
+  const size_t loops = r.verdicts.size();
+
+  // A comment line above the warning function: probe, scale and driver move
+  // down one line, yet nothing re-runs and the warning follows its loop.
+  std::string above_warning = base;
+  above_warning.insert(above_warning.find("void probe"), "// probe the helper\n");
+  r = engine.update(above_warning);
+  expect_matches_cold(r, above_warning, assume, "comment above the warning function");
+  expect_diags_match_cold(r, above_warning, assume);
+  EXPECT_EQ(r.stats.dirty, 0);
+  EXPECT_EQ(r.stats.reanalyzed, 0);
+  EXPECT_EQ(static_cast<size_t>(r.stats.reused_verdicts), loops);
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  EXPECT_EQ(r.diagnostics[0].location.line, 13u);
+  EXPECT_EQ(r.diagnostics[0].message.rfind("loop at line 12 ", 0), 0u)
+      << r.diagnostics[0].message;
+  EXPECT_EQ(r.delta.added.size(), 1u) << "the moved warning is a new position";
+  EXPECT_EQ(r.delta.removed.size(), 1u);
+
+  // Three lines of differing lengths above the parallel fill: every function
+  // moves, by a different byte delta than line delta.
+  std::string above_parallel = above_warning;
+  above_parallel.insert(above_parallel.find("void fill"), "/* fill\n   the index\n */\n");
+  r = engine.update(above_parallel);
+  expect_matches_cold(r, above_parallel, assume, "comment above the parallel function");
+  expect_diags_match_cold(r, above_parallel, assume);
+  EXPECT_EQ(r.stats.dirty, 0);
+  EXPECT_EQ(r.stats.reanalyzed, 0);
+  EXPECT_EQ(static_cast<size_t>(r.stats.reused_verdicts), loops);
+  size_t parallel = 0;
+  for (const core::LoopVerdict& v : r.verdicts) parallel += v.parallel ? 1 : 0;
+  EXPECT_GE(parallel, 1u) << "fill's loop stays parallel after the move";
+
+  // Removing the comments moves everything back up.
+  r = engine.update(base);
+  expect_matches_cold(r, base, assume, "comments removed");
+  expect_diags_match_cold(r, base, assume);
+  EXPECT_EQ(r.stats.reanalyzed, 0);
+
+  // A reformat inside probe keeps its content key but not its relative
+  // layout: probe alone re-runs; the functions below it only move.
+  std::string reformatted = base;
+  reformatted.replace(reformatted.find("    a[i] = mystery(i);"), 22, "\n      a[i] = mystery(i);");
+  r = engine.update(reformatted);
+  expect_matches_cold(r, reformatted, assume, "reformat inside probe");
+  expect_diags_match_cold(r, reformatted, assume);
+  EXPECT_EQ(r.stats.dirty, 0);
+  EXPECT_EQ(r.stats.reanalyzed, 1) << "probe";
+}
+
 TEST(IncrementalEngine, FailedParseKeepsTheSessionIncremental) {
   const pipeline::Assumptions assume = {{"n", 1}};
   const std::string base = R"(int n;

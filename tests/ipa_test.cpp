@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "corpus/analysis.h"
 #include "corpus/corpus.h"
@@ -17,9 +19,12 @@
 #include "driver/json_report.h"
 #include "interp/interpreter.h"
 #include "ipa/call_graph.h"
+#include "ipa/cross_cache.h"
 #include "ipa/summary.h"
 #include "pipeline/session.h"
+#include "store/summary_store.h"
 #include "support/text.h"
+#include "symbolic/arena.h"
 
 namespace sspar {
 namespace {
@@ -1185,6 +1190,204 @@ TEST(CrossCache, BatchWithAndWithoutSharingAgreeEverywhere) {
   EXPECT_EQ(isolated.shared_cache.lookups, 0u);
   EXPECT_EQ(isolated.stats.cross_summary_requests, 0);
   EXPECT_EQ(isolated.stats.cross_summary_entries, 0);
+}
+
+// --------------------------------------------------------------------------
+// ProgramScope: the per-program name index against the per-call maps
+// --------------------------------------------------------------------------
+
+// The namespaces conversion used to build per call. to_portable's: globals
+// then parameters by symbol, where any name shared by two symbols makes the
+// summary non-portable. rehydrate's: globals then parameters by name, later
+// declarations winning. Conversion consults names only through these
+// lookups (plus the function lookup), so a ProgramScope that answers every
+// one of them identically converts identically.
+struct PerCallMaps {
+  PerCallMaps(const ast::Program& program, const ast::FuncDecl& function) {
+    auto add = [this](const ast::VarDecl* decl) {
+      if (!ok) return;
+      if (!by_symbol.emplace(decl->symbol, decl->name).second) return;
+      auto [it, fresh] = symbol_by_name.emplace(decl->name, decl->symbol);
+      if (!fresh && it->second != decl->symbol) ok = false;
+    };
+    for (const auto& g : program.globals) add(g.get());
+    for (const auto& p : function.params) add(p.get());
+    for (const auto& g : program.globals) by_name[g->name] = g.get();
+    for (const auto& p : function.params) by_name[p->name] = p.get();
+  }
+  bool ok = true;
+  std::map<sym::SymbolId, std::string> by_symbol;
+  std::map<std::string, sym::SymbolId> symbol_by_name;
+  std::map<std::string, const ast::VarDecl*> by_name;
+};
+
+// Every symbol and every declared name (globals, functions, parameters,
+// locals, plus one undeclared name) through both lookups, for every function.
+void expect_scope_matches_per_call_maps(const ast::Program& program,
+                                        const sym::SymbolTable& symbols,
+                                        const ipa::ProgramScope& scope) {
+  std::set<std::string> names = {"no_such_name"};
+  for (const auto& g : program.globals) names.insert(g->name);
+  for (const auto& f : program.functions) {
+    names.insert(f->name);
+    for (const auto& p : f->params) names.insert(p->name);
+    ast::walk_stmts(static_cast<const ast::Stmt*>(f->body.get()), [&](const ast::Stmt* stmt) {
+      if (const auto* decls = stmt->as<ast::DeclStmt>()) {
+        for (const auto& d : decls->decls) names.insert(d->name);
+      }
+      return true;
+    });
+  }
+  for (const auto& f : program.functions) {
+    SCOPED_TRACE(f->name);
+    const PerCallMaps old(program, *f);
+    ASSERT_EQ(scope.names_distinct(*f), old.ok);
+    if (old.ok) {
+      for (sym::SymbolId id = 0; id < symbols.size(); ++id) {
+        auto it = old.by_symbol.find(id);
+        const std::string* name = scope.name_of(*f, id);
+        if (it == old.by_symbol.end()) {
+          EXPECT_EQ(name, nullptr) << symbols.name(id);
+        } else {
+          ASSERT_NE(name, nullptr) << symbols.name(id);
+          EXPECT_EQ(*name, it->second);
+        }
+      }
+    }
+    for (const std::string& name : names) {
+      auto it = old.by_name.find(name);
+      EXPECT_EQ(scope.resolve(*f, name), it == old.by_name.end() ? nullptr : it->second)
+          << name;
+    }
+  }
+  for (const std::string& name : names) {
+    EXPECT_EQ(scope.find_function(name), program.find_function(name)) << name;
+  }
+}
+
+TEST(ProgramScope, MatchesThePerCallMapsOnEveryCorpusProgram) {
+  size_t converted = 0;
+  for (const corpus::Entry& entry : corpus::all_entries()) {
+    SCOPED_TRACE(entry.name);
+    ipa::CrossProgramCache cache;
+    pipeline::Session session(entry.source, corpus::analyzer_assumptions(entry));
+    session.share_summaries(&cache);
+    ASSERT_NE(session.parallelize(), nullptr) << session.diagnostics().dump();
+    const ast::Program& program = *session.program();
+    const ipa::ProgramScope scope(program);
+    expect_scope_matches_per_call_maps(program, *session.symbols(), scope);
+
+    // One scope serving every function of the program converts exactly as a
+    // scope built for the single call, and a rehydrated summary converts
+    // back to the same bytes.
+    sym::ExprArena arena;
+    sym::ArenaScope arena_scope(arena);
+    for (const auto& f : program.functions) {
+      const ipa::FunctionSummary* summary =
+          session.summaries().find(f.get(), core::AnalyzerOptions{});
+      if (summary == nullptr) continue;
+      SCOPED_TRACE(f->name);
+      auto portable = ipa::to_portable(*summary, scope, /*allow_unanalyzable=*/true);
+      auto per_call =
+          ipa::to_portable(*summary, ipa::ProgramScope(program), /*allow_unanalyzable=*/true);
+      ASSERT_EQ(portable.has_value(), per_call.has_value());
+      if (!portable) continue;
+      const std::string bytes = store::serialize_summary(*portable);
+      EXPECT_EQ(bytes, store::serialize_summary(*per_call));
+      auto rehydrated = ipa::rehydrate(*portable, scope);
+      ASSERT_TRUE(rehydrated.has_value());
+      EXPECT_EQ(rehydrated->function, f.get());
+      EXPECT_EQ(rehydrated->may_write_scalars, summary->may_write_scalars);
+      EXPECT_EQ(rehydrated->may_write_arrays, summary->may_write_arrays);
+      EXPECT_EQ(rehydrated->exposed_scalar_reads, summary->exposed_scalar_reads);
+      auto again = ipa::to_portable(*rehydrated, scope, /*allow_unanalyzable=*/true);
+      ASSERT_TRUE(again.has_value());
+      EXPECT_EQ(store::serialize_summary(*again), bytes);
+      ++converted;
+    }
+  }
+  EXPECT_GT(converted, 10u);
+}
+
+TEST(ProgramScope, ShadowingParameterIsNotPortable) {
+  pipeline::Session session(R"(
+    int n;
+    int a[100];
+    void f(int n) {
+      for (int i = 0; i < n; i++) {
+        a[i] = i;
+      }
+    }
+    void g() {
+      f(n);
+    }
+  )",
+                            {{"n", 1}});
+  ASSERT_NE(session.parallelize(), nullptr) << session.diagnostics().dump();
+  const ast::Program& program = *session.program();
+  const ipa::ProgramScope scope(program);
+  expect_scope_matches_per_call_maps(program, *session.symbols(), scope);
+  const ast::FuncDecl* f = program.find_function("f");
+  EXPECT_FALSE(scope.names_distinct(*f));
+  EXPECT_EQ(scope.resolve(*f, "n"), f->params[0].get());
+  EXPECT_EQ(scope.resolve(*program.find_function("g"), "n"), program.find_global("n"));
+  const ipa::FunctionSummary* summary = session.summaries().find(f, core::AnalyzerOptions{});
+  ASSERT_NE(summary, nullptr);
+  EXPECT_FALSE(ipa::to_portable(*summary, scope, /*allow_unanalyzable=*/true).has_value());
+}
+
+TEST(ProgramScope, ParameterWinsOverSameNamedGlobalOnRehydrate) {
+  // g's summary is made where no global is named k; the target program adds
+  // a global k, which g's parameter k must shadow on rehydration.
+  pipeline::Session source(R"(
+    int m;
+    int a[100];
+    void g(int k) {
+      a[k] = m;
+    }
+    void h() {
+      g(m);
+    }
+  )");
+  ASSERT_NE(source.parallelize(), nullptr) << source.diagnostics().dump();
+  const ast::Program& from = *source.program();
+  const ipa::FunctionSummary* summary =
+      source.summaries().find(from.find_function("g"), core::AnalyzerOptions{});
+  ASSERT_NE(summary, nullptr);
+  auto portable = ipa::to_portable(*summary, ipa::ProgramScope(from));
+  ASSERT_TRUE(portable.has_value());
+  ASSERT_EQ(portable->writes.size(), 1u);
+
+  pipeline::Session target(R"(
+    int k;
+    int m;
+    int a[100];
+    void g(int k) {
+      a[k] = m;
+    }
+  )");
+  ASSERT_TRUE(target.parse()) << target.diagnostics().dump();
+  const ast::Program& to = *target.program();
+  const ipa::ProgramScope scope(to);
+  expect_scope_matches_per_call_maps(to, *target.symbols(), scope);
+  const ast::FuncDecl* g = to.find_function("g");
+  const ast::VarDecl* param = g->params[0].get();
+  const ast::VarDecl* global = to.find_global("k");
+  sym::ExprArena arena;
+  sym::ArenaScope arena_scope(arena);
+  auto rehydrated = ipa::rehydrate(*portable, scope);
+  ASSERT_TRUE(rehydrated.has_value());
+  ASSERT_EQ(rehydrated->writes.size(), 1u);
+  const core::ArrayWriteEffect& write = rehydrated->writes[0];
+  EXPECT_EQ(write.array, to.find_global("a"));
+  auto mentions = [&write](sym::SymbolId id) {
+    return sym::any_of(write.index, [id](const sym::Expr& e) {
+      return e.kind == sym::ExprKind::Sym && e.symbol == id;
+    });
+  };
+  ASSERT_NE(write.index, nullptr);
+  EXPECT_TRUE(mentions(param->symbol));
+  EXPECT_FALSE(mentions(global->symbol));
 }
 
 // --------------------------------------------------------------------------

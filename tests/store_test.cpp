@@ -513,6 +513,81 @@ TEST(SummaryStoreJournal, CommitCheckpointsWhenTheJournalGrowsPastTheCap) {
   std::remove((path + ".journal").c_str());
 }
 
+// (key, generation) of every record of a base file, in file order (the
+// layout summary_store.h documents).
+std::vector<std::pair<ipa::CacheKey, uint64_t>> record_generations(const std::string& path) {
+  const std::string bytes = read_file(path);
+  auto u64 = [&bytes](size_t at) {
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(bytes.at(at + i));
+    return v;
+  };
+  auto u32 = [&bytes](size_t at) {
+    uint32_t v = 0;
+    for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(bytes.at(at + i));
+    return v;
+  };
+  std::vector<std::pair<ipa::CacheKey, uint64_t>> out;
+  size_t pos = 4 + 4 + 8;  // magic | version | next_generation
+  while (pos < bytes.size()) {
+    out.push_back({ipa::CacheKey{u64(pos), u64(pos + 8)}, u64(pos + 16)});
+    pos += 8 + 8 + 8 + 4 + 8 + u32(pos + 24);
+  }
+  return out;
+}
+
+TEST(SummaryStoreJournal, RepeatedHitsJournalOneTouchPerGeneration) {
+  const std::string path = temp_path("journal_touch.bin");
+  std::remove(path.c_str());
+  std::remove((path + ".journal").c_str());
+  build_store(path, 4);  // generation 1; the next open runs generation 2
+
+  // A long-lived cache keeps hitting two records between absorbs, as a
+  // server session does between requests.
+  const ipa::CacheKey warm_a{1, 101}, warm_b{2, 102}, fresh{9, 109};
+  {
+    SummaryStore store(path, journal_options());
+    ASSERT_TRUE(store.open());
+    ipa::CrossProgramCache cache;
+    ASSERT_EQ(store.preload(cache), 4u);
+    for (int round = 0; round < 16; ++round) {
+      for (int hit = 0; hit < 3; ++hit) {
+        ASSERT_NE(cache.find(warm_a), nullptr);
+        ASSERT_NE(cache.find(warm_b), nullptr);
+      }
+      if (round == 0) cache.insert(fresh, rich_summary());
+      store.absorb(cache);
+      ASSERT_TRUE(store.commit());
+      EXPECT_EQ(store.stats().journal_appended, 3u)
+          << "round " << round << ": one Touch per hit record and one Add, then nothing";
+    }
+    EXPECT_EQ(store.stats().absorbed, 1u);
+  }
+
+  // Replay restores the generations the live store held: the hit records
+  // and the new one at generation 2, the untouched ones still at 1.
+  const std::vector<std::pair<ipa::CacheKey, uint64_t>> expected = {
+      {warm_a, 2}, {warm_b, 2}, {ipa::CacheKey{3, 103}, 1}, {ipa::CacheKey{4, 104}, 1},
+      {fresh, 2}};
+  {
+    SummaryStore reopened(path, journal_options());
+    ASSERT_TRUE(reopened.open());
+    EXPECT_EQ(reopened.size(), 5u);
+    EXPECT_EQ(reopened.stats().journal_replayed, 1u);
+    ASSERT_TRUE(reopened.flush());
+  }
+  EXPECT_EQ(record_generations(path), expected);
+  // A second reopen reads the same generations back from the base file.
+  {
+    SummaryStore again(path, journal_options());
+    ASSERT_TRUE(again.open());
+    ASSERT_TRUE(again.flush());
+  }
+  EXPECT_EQ(record_generations(path), expected);
+  std::remove(path.c_str());
+  std::remove((path + ".journal").c_str());
+}
+
 TEST(SummaryStoreJournal, SimulatedAppendFailureFallsBackToFullFlush) {
   if (!support::faultpoint::compiled_in()) GTEST_SKIP() << "faultpoints off";
   const std::string path = temp_path("journal_degraded.bin");
