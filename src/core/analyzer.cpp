@@ -146,9 +146,9 @@ void Analyzer::run(const std::set<const ast::FuncDecl*>* only, const ipa::CallGr
   }
 }
 
-void Analyzer::key_all_functions(const ipa::CallGraph& graph) {
+void Analyzer::key_all_functions(const ipa::CallGraph& graph, IdentityHashes* identities) {
   for (const ast::FuncDecl* function : graph.bottom_up()) {
-    compute_content_key(*function, graph);
+    compute_content_key(*function, graph, identities);
   }
 }
 
@@ -731,9 +731,19 @@ bool Analyzer::shared_summary_available(const ast::FuncDecl* function) const {
   return shared->find(h.key(), &from_store) != nullptr;
 }
 
-void Analyzer::mix_function_identity(const ast::FuncDecl& function,
-                                     ipa::ContentHasher& h) const {
-  // Signature + printed body: textual identity of the function itself.
+void Analyzer::mix_function_identity(const ast::FuncDecl& function, ipa::ContentHasher& out,
+                                     IdentityHashes* identities) const {
+  if (identities != nullptr) {
+    if (auto it = identities->find(&function); it != identities->end()) {
+      out.mix(it->second.first);
+      out.mix(it->second.second);
+      return;
+    }
+  }
+  ipa::ContentHasher h;
+  // Signature + printed body: textual identity of the function itself. The
+  // body prints without loop annotations: an annotated AST (one kept from an
+  // earlier analysis) must key like a fresh parse of the same source.
   h.mix(function.name);
   h.mix(static_cast<uint64_t>(function.return_type));
   auto mix_decl_shape = [&h](const ast::VarDecl& decl) {
@@ -745,36 +755,42 @@ void Analyzer::mix_function_identity(const ast::FuncDecl& function,
     }
   };
   for (const auto& p : function.params) mix_decl_shape(*p);
-  h.mix(ast::print_stmt(*function.body));
+  h.mix(ast::print_stmt(*function.body, 0, /*annotations=*/false));
   // Declaration shape + analysis assumptions of every referenced global: two
   // textually identical helpers over differently-sized (or differently
-  // assumed) globals must not share a summary.
-  std::map<std::string, const ast::VarDecl*> referenced;
+  // assumed) globals must not share a summary. Mixed in declaration (symbol)
+  // order, because verdict text follows it: blockers and private clauses
+  // list variables in that order.
+  std::map<sym::SymbolId, const ast::VarDecl*> referenced;
   ast::walk_exprs(function.body.get(), [&](const ast::Expr* e) {
     const auto* var = e->as<ast::VarRef>();
-    if (var && var->decl && is_global(var->decl)) referenced[var->decl->name] = var->decl;
+    if (var && var->decl && is_global(var->decl)) referenced[var->decl->symbol] = var->decl;
   });
-  for (const auto& [name, decl] : referenced) {
+  for (const auto& [symbol, decl] : referenced) {
     mix_decl_shape(*decl);
     const sym::Range* bound = base_ctx_.bound(decl->symbol);
     h.mix(bound ? bound->to_string(symbols_) : std::string("-"));
   }
+  const ipa::CacheKey identity = h.key();
+  if (identities != nullptr) identities->emplace(&function, std::pair{identity.hi, identity.lo});
+  out.mix(identity.hi);
+  out.mix(identity.lo);
 }
 
 void Analyzer::compute_content_key(const ast::FuncDecl& function,
-                                   const ipa::CallGraph& graph) {
+                                   const ipa::CallGraph& graph, IdentityHashes* identities) {
   if (content_keys_.count(&function)) return;
   const ipa::CallGraph::Node* node = graph.node(&function);
   if (node && node->recursive) {
     // Recursive functions are keyed as a whole SCC: a caller's key must
     // reflect the SCC's *content* (its may-write sets feed the caller's
     // summary), and a per-member marker could not do that.
-    compute_scc_content_keys(function, graph);
+    compute_scc_content_keys(function, graph, identities);
     return;
   }
   ipa::ContentHasher h;
   h.mix("sspar-summary-v1");
-  mix_function_identity(function, h);
+  mix_function_identity(function, h, identities);
   // Callee content keys: the summary folds callee effects in, so the address
   // must cover the transitive closure. Bottom-up order (with SCCs keyed as a
   // group) keys every defined callee before its callers; the fallback marker
@@ -797,7 +813,8 @@ void Analyzer::compute_content_key(const ast::FuncDecl& function,
 }
 
 void Analyzer::compute_scc_content_keys(const ast::FuncDecl& member,
-                                        const ipa::CallGraph& graph) {
+                                        const ipa::CallGraph& graph,
+                                        IdentityHashes* identities) {
   const ipa::CallGraph::Node* node = graph.node(&member);
   if (!node) return;
   std::vector<const ast::FuncDecl*> members = graph.scc_members(node->scc);
@@ -809,7 +826,7 @@ void Analyzer::compute_scc_content_keys(const ast::FuncDecl& member,
   ipa::ContentHasher h;
   h.mix("sspar-scc-v1");
   for (const ast::FuncDecl* f : members) {
-    mix_function_identity(*f, h);
+    mix_function_identity(*f, h, identities);
     // Recursive summaries carry a failure location (W030x provenance); the
     // key must pin it so a cross-program hit never mis-attributes lines.
     h.mix(static_cast<uint64_t>(f->location.line));

@@ -33,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "core/facts.h"
@@ -129,6 +130,11 @@ struct LoopSnapshot {
   std::map<sym::SymbolId, std::vector<std::string>> fact_provenance;
 };
 
+// Per-function identity hashes ((hi, lo) halves of ipa::CacheKey) that a
+// caller keeps across analyzers of successive versions of one program.
+using IdentityHashes =
+    std::unordered_map<const ast::FuncDecl*, std::pair<uint64_t, uint64_t>>;
+
 struct AnalyzerOptions {
   // Extension rules (paper Section 3.4 "forthcoming aggregation algebra");
   // individually toggleable for the ablation bench.
@@ -177,7 +183,12 @@ class Analyzer {
   // Computes the cross-program content key of every function (bottom-up, so
   // callee keys exist before their callers fold them in). Idempotent; call
   // after assumptions are declared — keys mix assumption bounds.
-  void key_all_functions(const ipa::CallGraph& graph);
+  // `identities`, when given, carries identity hashes (see
+  // mix_function_identity) across calls: a function found there is keyed
+  // without printing its body again, and every other function's hash is
+  // added. Only a caller that knows a function's body and the program's
+  // globals are unchanged may pass a hash in.
+  void key_all_functions(const ipa::CallGraph& graph, IdentityHashes* identities = nullptr);
   // The (hi, lo) content key of `function`, or null if not yet keyed.
   const std::pair<uint64_t, uint64_t>* content_key(const ast::FuncDecl* function) const;
 
@@ -267,16 +278,20 @@ class Analyzer {
   // closure). Stored in content_keys_; requires callees to be keyed first
   // (bottom-up order). Members of a recursive SCC are keyed as a group via
   // compute_scc_content_keys.
-  void compute_content_key(const ast::FuncDecl& function, const ipa::CallGraph& graph);
+  void compute_content_key(const ast::FuncDecl& function, const ipa::CallGraph& graph,
+                           IdentityHashes* identities = nullptr);
   // Combined content key for a whole recursive SCC: every member's printed
   // source, referenced globals, external callee keys AND source location
   // (recursive summaries carry a failure location; folding locations into
   // the key keeps cross-program reuse of those locations sound). Each member
   // is then addressed as H(combined, member name).
-  void compute_scc_content_keys(const ast::FuncDecl& member, const ipa::CallGraph& graph);
-  // Mixes one function's identity (signature, printed body, referenced
-  // globals + assumptions) into `h` — shared by both key paths.
-  void mix_function_identity(const ast::FuncDecl& function, ipa::ContentHasher& h) const;
+  void compute_scc_content_keys(const ast::FuncDecl& member, const ipa::CallGraph& graph,
+                                IdentityHashes* identities);
+  // Mixes one function's identity hash (signature, printed body, referenced
+  // globals + assumptions) into `h` — shared by both key paths. Taken from
+  // `identities` when present there, else computed (and recorded there).
+  void mix_function_identity(const ast::FuncDecl& function, ipa::ContentHasher& h,
+                             IdentityHashes* identities) const;
   // The cached summary for a call site's callee (null without a DB, for
   // unknown callees, or before compute_summaries ran).
   const ipa::FunctionSummary* call_summary(const ast::Call& call) const;

@@ -262,7 +262,12 @@ AssumptionContext FactDB::with_facts(const AssumptionContext& base) const {
 std::string FactDB::to_string(const sym::SymbolTable& syms) const {
   std::string out;
   auto section = [&syms](const ExprPtr& lo, const ExprPtr& hi) {
-    return "[" + sym::to_string(lo, syms) + " : " + sym::to_string(hi, syms) + "]";
+    std::string s = "[";
+    s += sym::to_string(lo, syms);
+    s += " : ";
+    s += sym::to_string(hi, syms);
+    s += "]";
+    return s;
   };
   for (const auto& [array, facts_ptr] : facts_) {
     const ArrayFacts& facts = *facts_ptr;

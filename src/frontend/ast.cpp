@@ -127,47 +127,54 @@ void walk_stmts(const Stmt* root, const std::function<bool(const Stmt*)>& fn) {
   walk_stmts_impl(root, fn);
 }
 
-void walk_subexprs(const Expr* root, const std::function<void(const Expr*)>& fn) {
+namespace {
+template <typename ExprT, typename Fn>
+void walk_subexprs_impl(ExprT* root, const Fn& fn) {
   if (!root) return;
   fn(root);
   switch (root->kind) {
     case ExprNodeKind::ArrayRef: {
-      const auto* e = root->as<ArrayRef>();
-      walk_subexprs(e->base.get(), fn);
-      walk_subexprs(e->index.get(), fn);
+      auto* e = root->template as<ArrayRef>();
+      walk_subexprs_impl(e->base.get(), fn);
+      walk_subexprs_impl(e->index.get(), fn);
       break;
     }
     case ExprNodeKind::Binary: {
-      const auto* e = root->as<Binary>();
-      walk_subexprs(e->lhs.get(), fn);
-      walk_subexprs(e->rhs.get(), fn);
+      auto* e = root->template as<Binary>();
+      walk_subexprs_impl(e->lhs.get(), fn);
+      walk_subexprs_impl(e->rhs.get(), fn);
       break;
     }
     case ExprNodeKind::Unary:
-      walk_subexprs(root->as<Unary>()->operand.get(), fn);
+      walk_subexprs_impl(root->template as<Unary>()->operand.get(), fn);
       break;
     case ExprNodeKind::Assign: {
-      const auto* e = root->as<Assign>();
-      walk_subexprs(e->target.get(), fn);
-      walk_subexprs(e->value.get(), fn);
+      auto* e = root->template as<Assign>();
+      walk_subexprs_impl(e->target.get(), fn);
+      walk_subexprs_impl(e->value.get(), fn);
       break;
     }
     case ExprNodeKind::IncDec:
-      walk_subexprs(root->as<IncDec>()->target.get(), fn);
+      walk_subexprs_impl(root->template as<IncDec>()->target.get(), fn);
       break;
     case ExprNodeKind::Conditional: {
-      const auto* e = root->as<Conditional>();
-      walk_subexprs(e->cond.get(), fn);
-      walk_subexprs(e->then_expr.get(), fn);
-      walk_subexprs(e->else_expr.get(), fn);
+      auto* e = root->template as<Conditional>();
+      walk_subexprs_impl(e->cond.get(), fn);
+      walk_subexprs_impl(e->then_expr.get(), fn);
+      walk_subexprs_impl(e->else_expr.get(), fn);
       break;
     }
     case ExprNodeKind::Call:
-      for (const auto& a : root->as<Call>()->args) walk_subexprs(a.get(), fn);
+      for (auto& a : root->template as<Call>()->args) walk_subexprs_impl(a.get(), fn);
       break;
     default:
       break;
   }
+}
+}  // namespace
+
+void walk_subexprs(const Expr* root, const std::function<void(const Expr*)>& fn) {
+  walk_subexprs_impl(root, fn);
 }
 
 void walk_exprs(const Stmt* root, const std::function<void(const Expr*)>& fn) {
@@ -219,6 +226,70 @@ std::vector<For*> collect_loops(Stmt* root) {
     return true;
   });
   return loops;
+}
+
+namespace {
+
+// Moves every known position of a declaration by the same line and byte
+// delta; columns stay (the declaration starts at the same column).
+struct LocationShift {
+  int64_t lines;
+  int64_t bytes;
+
+  void at(support::SourceLocation& loc) const {
+    if (!loc.valid()) return;
+    loc.line = static_cast<uint32_t>(loc.line + lines);
+    loc.offset = static_cast<uint32_t>(loc.offset + bytes);
+  }
+  void expr(Expr* root) const {
+    walk_subexprs_impl(root, [this](Expr* e) { at(e->location); });
+  }
+  void decl(VarDecl& d) const {
+    at(d.location);
+    for (auto& dim : d.dims) expr(dim.get());
+    expr(d.init.get());
+  }
+};
+
+}  // namespace
+
+void shift_locations(FuncDecl& function, int64_t lines, int64_t bytes) {
+  const LocationShift shift{lines, bytes};
+  shift.at(function.location);
+  for (auto& param : function.params) shift.decl(*param);
+  walk_stmts(static_cast<Stmt*>(function.body.get()), [&shift](Stmt* s) {
+    shift.at(s->location);
+    switch (s->kind) {
+      case StmtNodeKind::ExprStmt:
+        shift.expr(s->as<ExprStmt>()->expr.get());
+        break;
+      case StmtNodeKind::DeclStmt:
+        for (auto& d : s->as<DeclStmt>()->decls) shift.decl(*d);
+        break;
+      case StmtNodeKind::If:
+        shift.expr(s->as<If>()->cond.get());
+        break;
+      case StmtNodeKind::For: {
+        auto* f = s->as<For>();  // init is a statement: walk_stmts visits it
+        shift.expr(f->cond.get());
+        shift.expr(f->step.get());
+        break;
+      }
+      case StmtNodeKind::While:
+        shift.expr(s->as<While>()->cond.get());
+        break;
+      case StmtNodeKind::Return:
+        shift.expr(s->as<Return>()->value.get());
+        break;
+      default:
+        break;
+    }
+    return true;
+  });
+}
+
+void shift_locations(VarDecl& decl, int64_t lines, int64_t bytes) {
+  LocationShift{lines, bytes}.decl(decl);
 }
 
 }  // namespace sspar::ast

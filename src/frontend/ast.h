@@ -343,6 +343,12 @@ void walk_stmts(const Stmt* root, const std::function<bool(const Stmt*)>& fn);
 void walk_exprs(const Stmt* root, const std::function<void(const Expr*)>& fn);
 void walk_subexprs(const Expr* root, const std::function<void(const Expr*)>& fn);
 
+// Adds `lines` and `bytes` to every known source location of a declaration
+// that moved as a whole (its start column unchanged): function, parameters,
+// statements, local declarations and expressions alike.
+void shift_locations(FuncDecl& function, int64_t lines, int64_t bytes);
+void shift_locations(VarDecl& decl, int64_t lines, int64_t bytes);
+
 // All For loops in pre-order.
 std::vector<const For*> collect_loops(const Stmt* root);
 std::vector<For*> collect_loops(Stmt* root);

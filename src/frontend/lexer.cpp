@@ -1,5 +1,6 @@
 #include "frontend/lexer.h"
 
+#include <algorithm>
 #include <cctype>
 #include <unordered_map>
 
@@ -73,8 +74,10 @@ const char* token_kind_name(TokenKind kind) {
   return "?";
 }
 
-Lexer::Lexer(std::string_view source, support::DiagnosticEngine& diags)
-    : source_(source), diags_(diags) {}
+Lexer::Lexer(std::string_view source, support::DiagnosticEngine& diags,
+             support::SourceLocation start)
+    : source_(source), diags_(diags), pos_(start.offset), line_(start.line),
+      column_(start.column) {}
 
 char Lexer::peek(size_t ahead) const {
   size_t p = pos_ + ahead;
@@ -103,28 +106,17 @@ support::SourceLocation Lexer::here() const {
 }
 
 void Lexer::skip_trivia() {
-  while (pos_ < source_.size()) {
-    char c = peek();
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance();
-    } else if (c == '/' && peek(1) == '/') {
-      while (pos_ < source_.size() && peek() != '\n') advance();
-    } else if (c == '/' && peek(1) == '*') {
-      advance();
-      advance();
-      while (pos_ < source_.size() && !(peek() == '*' && peek(1) == '/')) advance();
-      if (pos_ < source_.size()) {
-        advance();
-        advance();
-      } else {
-        diags_.error(support::DiagCode::LexUnterminatedComment, here(),
-                     "unterminated block comment");
-      }
-    } else if (c == '#') {
-      while (pos_ < source_.size() && peek() != '\n') advance();
-    } else {
-      break;
-    }
+  const Trivia t = scan_trivia(source_, pos_);
+  if (t.newlines > 0) {
+    line_ += t.newlines;
+    column_ = static_cast<uint32_t>(t.end - t.line_start + 1);
+  } else {
+    column_ += static_cast<uint32_t>(t.end - pos_);
+  }
+  pos_ = t.end;
+  if (t.unterminated) {
+    diags_.error(support::DiagCode::LexUnterminatedComment, here(),
+                 "unterminated block comment");
   }
 }
 
@@ -248,12 +240,13 @@ Token Lexer::next() {
 }
 
 std::vector<Token> Lexer::tokenize(std::string_view source,
-                                   support::DiagnosticEngine& diags) {
-  Lexer lexer(source, diags);
+                                   support::DiagnosticEngine& diags,
+                                   support::SourceLocation start) {
+  Lexer lexer(source, diags, start);
   std::vector<Token> tokens;
   // ~5 bytes per token is typical for this grammar; one up-front reservation
   // avoids log(n) grow-and-move cycles of 64-byte Tokens.
-  tokens.reserve(source.size() / 5 + 16);
+  tokens.reserve((source.size() - std::min<size_t>(start.offset, source.size())) / 5 + 16);
   for (;;) {
     tokens.push_back(lexer.next());
     if (tokens.back().kind == TokenKind::End) break;

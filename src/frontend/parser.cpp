@@ -44,8 +44,9 @@ std::optional<AssignOp> assign_op(TokenKind kind) {
 
 }  // namespace
 
-Parser::Parser(std::string_view source, support::DiagnosticEngine& diags)
-    : tokens_(Lexer::tokenize(source, diags)), diags_(diags) {}
+Parser::Parser(std::string_view source, support::DiagnosticEngine& diags,
+               support::SourceLocation start)
+    : tokens_(Lexer::tokenize(source, diags, start)), diags_(diags) {}
 
 const Token& Parser::peek(size_t ahead) const {
   size_t p = pos_ + ahead;
@@ -67,10 +68,20 @@ bool Parser::match(TokenKind kind) {
 
 Token Parser::expect(TokenKind kind, const char* context) {
   if (check(kind)) return consume();
-  diags_.error(support::DiagCode::ParseExpectedToken, current().location,
-               std::string("expected ") + token_kind_name(kind) + " " + context + ", found " +
-                   token_kind_name(current().kind));
+  error(support::DiagCode::ParseExpectedToken, current().location,
+        std::string("expected ") + token_kind_name(kind) + " " + context + ", found " +
+            token_kind_name(current().kind));
   return current();
+}
+
+void Parser::error(support::DiagCode code, support::SourceLocation location,
+                   std::string message) {
+  if (errors_ >= kMaxErrors) return;
+  diags_.error(code, location, std::move(message));
+  if (++errors_ < kMaxErrors) return;
+  diags_.error(support::DiagCode::ParseTooManyErrors, location,
+               "too many errors; parsing stopped");
+  pos_ = tokens_.size() - 1;  // the End token: every parsing loop stops there
 }
 
 void Parser::synchronize() {
@@ -113,7 +124,7 @@ TypeKind Parser::parse_type() {
       consume();
       return TypeKind::Void;
     default:
-      diags_.error(support::DiagCode::ParseExpectedType, current().location, "expected type");
+      error(support::DiagCode::ParseExpectedType, current().location, "expected type");
       consume();
       return TypeKind::Int;
   }
@@ -129,9 +140,12 @@ std::unique_ptr<Program> Parser::parse_program() {
 
 void Parser::parse_top_level(Program& program) {
   if (!at_type_keyword()) {
-    diags_.error(support::DiagCode::ParseExpectedDecl, current().location,
-                 "expected declaration at top level");
-    synchronize();
+    error(support::DiagCode::ParseExpectedDecl, current().location,
+          "expected declaration at top level");
+    // synchronize() stops before a '}' so that a block can close; at top
+    // level no block is open, and a stray '}' left in place would stall
+    // parse_program on it forever.
+    if (!match(TokenKind::RBrace)) synchronize();
     return;
   }
   TypeKind base = parse_type();
@@ -459,9 +473,8 @@ ExprPtr Parser::parse_primary() {
       return e;
     }
     default:
-      diags_.error(support::DiagCode::ParseExpectedExpr, current().location,
-                   std::string("expected expression, found ") +
-                       token_kind_name(current().kind));
+      error(support::DiagCode::ParseExpectedExpr, current().location,
+            std::string("expected expression, found ") + token_kind_name(current().kind));
       consume();
       return std::make_unique<IntLit>(0);
   }

@@ -145,12 +145,12 @@ void print_var_decl(const VarDecl& d, std::string& out) {
   }
 }
 
-void print_stmt_impl(const Stmt& stmt, std::string& out, int indent);
+void print_stmt_impl(const Stmt& stmt, std::string& out, int indent, bool annotations);
 
 // The for-header + body, without annotations or hybrid dispatch (those are
 // handled by the For case of print_stmt_impl, which may print the same loop
 // node twice for a hybrid dual-version emission).
-void print_for_loop(const For& s, std::string& out, int indent) {
+void print_for_loop(const For& s, std::string& out, int indent, bool annotations) {
   indent_to(out, indent);
   out += "for (";
   if (const auto* es = s.init->as<ExprStmt>()) {
@@ -174,10 +174,11 @@ void print_for_loop(const For& s, std::string& out, int indent) {
   out += "; ";
   if (s.step) print_expr_impl(*s.step, out, 0);
   out += ")\n";
-  print_stmt_impl(*s.body, out, s.body->kind == StmtNodeKind::Compound ? indent : indent + 1);
+  print_stmt_impl(*s.body, out, s.body->kind == StmtNodeKind::Compound ? indent : indent + 1,
+                  annotations);
 }
 
-void print_stmt_impl(const Stmt& stmt, std::string& out, int indent) {
+void print_stmt_impl(const Stmt& stmt, std::string& out, int indent, bool annotations) {
   switch (stmt.kind) {
     case StmtNodeKind::ExprStmt:
       indent_to(out, indent);
@@ -211,7 +212,9 @@ void print_stmt_impl(const Stmt& stmt, std::string& out, int indent) {
     case StmtNodeKind::Compound: {
       indent_to(out, indent);
       out += "{\n";
-      for (const auto& s : stmt.as<Compound>()->body) print_stmt_impl(*s, out, indent + 1);
+      for (const auto& s : stmt.as<Compound>()->body) {
+        print_stmt_impl(*s, out, indent + 1, annotations);
+      }
       indent_to(out, indent);
       out += "}\n";
       break;
@@ -223,17 +226,23 @@ void print_stmt_impl(const Stmt& stmt, std::string& out, int indent) {
       print_expr_impl(*s->cond, out, 0);
       out += ")\n";
       print_stmt_impl(*s->then_branch, out,
-                      s->then_branch->kind == StmtNodeKind::Compound ? indent : indent + 1);
+                      s->then_branch->kind == StmtNodeKind::Compound ? indent : indent + 1,
+                      annotations);
       if (s->else_branch) {
         indent_to(out, indent);
         out += "else\n";
         print_stmt_impl(*s->else_branch, out,
-                        s->else_branch->kind == StmtNodeKind::Compound ? indent : indent + 1);
+                        s->else_branch->kind == StmtNodeKind::Compound ? indent : indent + 1,
+                        annotations);
       }
       break;
     }
     case StmtNodeKind::For: {
       const auto* s = stmt.as<For>();
+      if (!annotations) {
+        print_for_loop(*s, out, indent, annotations);
+        break;
+      }
       for (const auto& a : s->annotations) {
         indent_to(out, indent);
         out += a;
@@ -252,15 +261,15 @@ void print_stmt_impl(const Stmt& stmt, std::string& out, int indent) {
           out += s->hybrid_pragma;
           out += "\n";
         }
-        print_for_loop(*s, out, indent + 1);
+        print_for_loop(*s, out, indent + 1, annotations);
         indent_to(out, indent);
         out += "} else {\n";
-        print_for_loop(*s, out, indent + 1);
+        print_for_loop(*s, out, indent + 1, annotations);
         indent_to(out, indent);
         out += "}\n";
         break;
       }
-      print_for_loop(*s, out, indent);
+      print_for_loop(*s, out, indent, annotations);
       break;
     }
     case StmtNodeKind::While: {
@@ -270,7 +279,8 @@ void print_stmt_impl(const Stmt& stmt, std::string& out, int indent) {
       print_expr_impl(*s->cond, out, 0);
       out += ")\n";
       print_stmt_impl(*s->body, out,
-                      s->body->kind == StmtNodeKind::Compound ? indent : indent + 1);
+                      s->body->kind == StmtNodeKind::Compound ? indent : indent + 1,
+                      annotations);
       break;
     }
     case StmtNodeKind::Break:
@@ -307,40 +317,47 @@ std::string print_expr(const Expr& expr) {
   return out;
 }
 
-std::string print_stmt(const Stmt& stmt, int indent) {
+std::string print_stmt(const Stmt& stmt, int indent, bool annotations) {
   std::string out;
-  print_stmt_impl(stmt, out, indent);
+  print_stmt_impl(stmt, out, indent, annotations);
   return out;
 }
 
-std::string print_program(const Program& program) {
+std::string print_globals(const Program& program) {
   std::string out;
   for (const auto& g : program.globals) {
     print_var_decl(*g, out);
     out += ";\n";
   }
   if (!program.globals.empty()) out += "\n";
-  for (const auto& f : program.functions) {
-    out += type_name(f->return_type);
+  return out;
+}
+
+void print_function(const FuncDecl& f, std::string& out) {
+  out += type_name(f.return_type);
+  out += " ";
+  out += f.name;
+  out += "(";
+  for (size_t i = 0; i < f.params.size(); ++i) {
+    if (i) out += ", ";
+    const auto& p = f.params[i];
+    out += type_name(p->elem_type);
     out += " ";
-    out += f->name;
-    out += "(";
-    for (size_t i = 0; i < f->params.size(); ++i) {
-      if (i) out += ", ";
-      const auto& p = f->params[i];
-      out += type_name(p->elem_type);
-      out += " ";
-      out += p->name;
-      for (const auto& dim : p->dims) {
-        out += "[";
-        if (dim) out += print_expr(*dim);
-        out += "]";
-      }
+    out += p->name;
+    for (const auto& dim : p->dims) {
+      out += "[";
+      if (dim) out += print_expr(*dim);
+      out += "]";
     }
-    out += ")\n";
-    print_stmt_impl(*f->body, out, 0);
-    out += "\n";
   }
+  out += ")\n";
+  print_stmt_impl(*f.body, out, 0, /*annotations=*/true);
+  out += "\n";
+}
+
+std::string print_program(const Program& program) {
+  std::string out = print_globals(program);
+  for (const auto& f : program.functions) print_function(*f, out);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "frontend/sema.h"
 
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -9,13 +10,26 @@ namespace sspar::ast {
 
 namespace {
 
+// Number of subscripts in the chain ending at `ref` (ArrayRef::subscripts()
+// without building the list).
+size_t subscript_depth(const ArrayRef& ref) {
+  size_t depth = 1;
+  for (const ArrayRef* a = ref.base->as<ArrayRef>(); a != nullptr; a = a->base->as<ArrayRef>()) {
+    ++depth;
+  }
+  return depth;
+}
+
 class Resolver {
  public:
   Resolver(sym::SymbolTable& symbols, support::DiagnosticEngine& diags)
       : symbols_(symbols), diags_(diags) {}
 
   void run(Program& program) {
-    program_ = &program;
+    // Calls resolve against the whole program by name, so helpers may be
+    // defined after their callers; the first definition of a name wins, as
+    // in Program::find_function.
+    for (const auto& f : program.functions) functions_.emplace(f->name, f.get());
     push_scope();
     for (auto& g : program.globals) declare(*g);
     for (auto& g : program.globals) {
@@ -40,26 +54,37 @@ class Resolver {
   }
 
  private:
+  // One declaration visible under a name, with the depth of its scope.
+  struct Binding {
+    const VarDecl* decl;
+    size_t depth;
+  };
+  using Bindings = std::vector<Binding>;  // innermost last
+
   void push_scope() { scopes_.emplace_back(); }
-  void pop_scope() { scopes_.pop_back(); }
+  void pop_scope() {
+    for (Bindings* bindings : scopes_.back()) bindings->pop_back();
+    scopes_.pop_back();
+  }
 
   void declare(VarDecl& decl) {
-    auto& scope = scopes_.back();
-    if (scope.count(decl.name)) {
+    Bindings& bindings = bindings_[decl.name];
+    const size_t depth = scopes_.size();
+    decl.symbol = symbols_.fresh(decl.name);
+    if (!bindings.empty() && bindings.back().depth == depth) {
       diags_.error(support::DiagCode::SemaRedeclaration, decl.location,
                    "redeclaration of '" + decl.name + "'");
       // Rebind: later references see the newer declaration, like C.
+      bindings.back().decl = &decl;
+      return;
     }
-    decl.symbol = symbols_.fresh(decl.name);
-    scope[decl.name] = &decl;
+    bindings.push_back({&decl, depth});
+    scopes_.back().push_back(&bindings);
   }
 
   const VarDecl* lookup(const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) return found->second;
-    }
-    return nullptr;
+    auto it = bindings_.find(name);
+    return it == bindings_.end() || it->second.empty() ? nullptr : it->second.back().decl;
   }
 
   void resolve_stmt(Stmt& stmt) {
@@ -135,7 +160,7 @@ class Resolver {
           if (root->decl && !root->decl->is_array()) {
             diags_.error(support::DiagCode::SemaNotAnArray, e->location,
                          "subscripted variable '" + root->name + "' is not an array");
-          } else if (root->decl && e->subscripts().size() > root->decl->dims.size()) {
+          } else if (root->decl && subscript_depth(*e) > root->decl->dims.size()) {
             diags_.error(support::DiagCode::SemaTooManySubscripts, e->location,
                          "too many subscripts for array '" + root->name + "'");
           }
@@ -187,7 +212,8 @@ class Resolver {
         // Functions are not block-scoped: resolve against the whole program
         // so helpers may be defined after their callers. Unknown names stay
         // unbound (opaque to the analysis) rather than erroring.
-        e->decl = program_ ? program_->find_function(e->callee) : nullptr;
+        auto callee = functions_.find(e->callee);
+        e->decl = callee == functions_.end() ? nullptr : callee->second;
         for (auto& a : e->args) resolve_expr(*a);
         break;
       }
@@ -198,8 +224,11 @@ class Resolver {
 
   sym::SymbolTable& symbols_;
   support::DiagnosticEngine& diags_;
-  const Program* program_ = nullptr;
-  std::vector<std::unordered_map<std::string, const VarDecl*>> scopes_;
+  std::unordered_map<std::string_view, const FuncDecl*> functions_;
+  // Every name's visible declarations (keys view the declarations' names,
+  // which outlive the resolver); per open scope, the bindings it pushed.
+  std::unordered_map<std::string_view, Bindings> bindings_;
+  std::vector<std::vector<Bindings*>> scopes_;
   int next_loop_id_ = 0;
 };
 

@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
+#include <span>
 #include <string_view>
+#include <unordered_map>
 
+#include "frontend/parser.h"
 #include "frontend/printer.h"
 #include "frontend/sema.h"
 #include "ipa/call_graph.h"
 #include "ipa/summary.h"
 #include "store/summary_store.h"
+#include "support/faultpoint.h"
 #include "symbolic/arena.h"
 #include "transform/omp_emitter.h"
 
@@ -17,50 +22,23 @@ namespace sspar::incremental {
 
 namespace {
 
-// Every declaration of the function in a deterministic order: parameters
-// first, then DeclStmt declarations in statement pre-order (walk_stmts
-// descends into For::init, so loop-header declarations are covered). Two
-// parses of an identical printed body enumerate identically.
-std::vector<const ast::VarDecl*> enumerate_locals(const ast::FuncDecl& function) {
-  std::vector<const ast::VarDecl*> out;
-  for (const auto& param : function.params) out.push_back(param.get());
-  ast::walk_stmts(static_cast<const ast::Stmt*>(function.body.get()),
-                  [&](const ast::Stmt* stmt) {
-                    if (const auto* decl_stmt = stmt->as<ast::DeclStmt>()) {
-                      for (const auto& decl : decl_stmt->decls) out.push_back(decl.get());
-                    }
-                    return true;
-                  });
-  return out;
-}
-
-struct FuncShape {
-  std::pair<uint64_t, uint64_t> content_key;
-  std::pair<uint64_t, uint64_t> layout;
-  // The function's name token: no node of the function precedes it, so its
-  // line also starts the function's line span.
-  support::SourceLocation anchor;
-};
+using Hash = std::pair<uint64_t, uint64_t>;
 
 // Layout hash: every node kind + source position of the function, signature
 // included, with lines and byte offsets taken relative to the function's
 // name token (columns as they are). Content keys ignore positions (printed
-// source only), so this is the second half of the reuse test — an unchanged
-// relative layout means every cached position is still accurate once
-// shifted by the function's own move (see rebase_diagnostic).
-FuncShape compute_shape(const ast::FuncDecl& function,
-                        const std::pair<uint64_t, uint64_t>& content_key) {
-  FuncShape shape;
-  shape.content_key = content_key;
-  shape.anchor = function.location;
+// source only), so this is the second half of the reuse test for a function
+// parsed anew — a reused chunk keeps its layout by construction.
+Hash compute_layout(const ast::FuncDecl& function) {
+  const support::SourceLocation anchor = function.location;
   ipa::ContentHasher h;
   auto mix_loc = [&](const support::SourceLocation& loc) {
     if (loc.line == 0) {
       h.mix(~0ull);  // unknown position: nothing to shift
       return;
     }
-    h.mix((static_cast<uint64_t>(loc.line - shape.anchor.line) << 32) | loc.column);
-    h.mix(static_cast<uint64_t>(loc.offset - shape.anchor.offset));
+    h.mix((static_cast<uint64_t>(loc.line - anchor.line) << 32) | loc.column);
+    h.mix(static_cast<uint64_t>(loc.offset - anchor.offset));
   };
   mix_loc(function.location);
   for (const auto& param : function.params) mix_loc(param->location);
@@ -74,9 +52,8 @@ FuncShape compute_shape(const ast::FuncDecl& function,
     h.mix(static_cast<uint64_t>(expr->kind));
     mix_loc(expr->location);
   });
-  ipa::CacheKey key = h.key();
-  shape.layout = {key.hi, key.lo};
-  return shape;
+  const ipa::CacheKey key = h.key();
+  return {key.hi, key.lo};
 }
 
 // A cached diagnostic of a function that moved by `lines` lines and `bytes`
@@ -103,16 +80,40 @@ support::Diagnostic rebase_diagnostic(support::Diagnostic d, int64_t lines, int6
 }  // namespace
 
 // Per-update analysis state, committed to the engine only after the whole
-// update succeeds (an exception mid-update must not corrupt the previous
-// snapshot — the server keeps sessions alive after E_INTERNAL). Member order
-// matters: the arena owns every expression the summaries and analyzer
-// reference, exactly as in pipeline::Session.
+// update succeeds. Member order matters: the arena owns every expression the
+// summaries and analyzer reference, exactly as in pipeline::Session.
 struct IncrementalEngine::ProgramState {
   support::DiagnosticEngine diags;
   std::unique_ptr<sym::ExprArena> arena = std::make_unique<sym::ExprArena>();
   std::unique_ptr<ipa::SummaryDB> summaries = std::make_unique<ipa::SummaryDB>();
   ast::ParseResult parsed;
   std::unique_ptr<core::Analyzer> analyzer;
+
+  // Frees this version's analysis, in destruction order, and keeps its AST:
+  // the part the next version reuses.
+  void release_analysis() {
+    analyzer.reset();
+    summaries.reset();
+    arena.reset();
+  }
+};
+
+struct IncrementalEngine::Splice {
+  // A reused chunk: its declarations sit at `first` of the new program,
+  // moved by `lines` and `bytes`.
+  struct Move {
+    size_t old_chunk = 0;
+    size_t first = 0;
+    int64_t lines = 0;
+    int64_t bytes = 0;
+  };
+  std::vector<Move> moves;
+  // Per function of the new program: its index in the previous version, or
+  // -1 when it was parsed anew.
+  std::vector<int> reused_from;
+  std::vector<Chunk> chunks;  // the new version's chunks
+  // False when the globals are the previous version's objects, in order.
+  bool globals_changed = true;
 };
 
 IncrementalEngine::IncrementalEngine(EngineOptions options) : options_(std::move(options)) {
@@ -131,28 +132,216 @@ void IncrementalEngine::flush_store() {
   options_.store->commit();
 }
 
+bool IncrementalEngine::splice_program(const std::string& source,
+                                       const std::vector<SourceChunk>& spans,
+                                       ProgramState& state, Splice& splice) {
+  const std::string_view text(source);
+  const std::string_view old_text(source_);
+  auto bytes_of = [](std::string_view buffer, const SourceChunk& c) {
+    return buffer.substr(c.begin, c.end - c.begin);
+  };
+
+  // Match every new chunk against an unused old chunk with the same bytes
+  // and start column (so the same relative layout); parse the rest alone.
+  std::unordered_multimap<std::string_view, size_t> old_by_bytes;
+  old_by_bytes.reserve(chunks_.size());
+  for (size_t j = 0; j < chunks_.size(); ++j) {
+    old_by_bytes.emplace(bytes_of(old_text, chunks_[j].span), j);
+  }
+  std::vector<bool> taken(chunks_.size(), false);
+  std::vector<std::optional<size_t>> match(spans.size());
+  std::vector<std::unique_ptr<ast::Program>> pieces(spans.size());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    auto [it, last] = old_by_bytes.equal_range(bytes_of(text, spans[i]));
+    for (; it != last && !match[i]; ++it) {
+      if (!taken[it->second] &&
+          chunks_[it->second].span.start.column == spans[i].start.column) {
+        taken[it->second] = true;
+        match[i] = it->second;
+      }
+    }
+    if (match[i]) continue;
+    support::DiagnosticEngine diags;
+    ast::Parser parser(text.substr(0, spans[i].end), diags, spans[i].start);
+    auto piece = std::make_unique<ast::Program>();
+    parser.parse_top_level(*piece);
+    // Without errors the piece holds one function or one declaration's
+    // globals; every token of the chunk must belong to it.
+    if (diags.has_errors() || !parser.at_end()) return false;
+    pieces[i] = std::move(piece);
+  }
+
+  // Assemble. From here on the old program lends its reused declarations.
+  ast::Program& old = *state_->parsed.program;
+  std::vector<size_t> old_global_chunks;  // the old globals, chunk by chunk
+  for (size_t j = 0; j < chunks_.size(); ++j) {
+    if (!chunks_[j].function) old_global_chunks.push_back(j);
+  }
+  size_t globals_seen = 0;
+  bool globals_changed = false;
+  auto program = std::make_unique<ast::Program>();
+  for (size_t i = 0; i < spans.size(); ++i) {
+    Chunk chunk;
+    chunk.span = spans[i];
+    if (match[i]) {
+      const Chunk& from = chunks_[*match[i]];
+      const int64_t lines = static_cast<int64_t>(spans[i].start.line) - from.span.start.line;
+      const int64_t bytes = static_cast<int64_t>(spans[i].begin) - from.span.begin;
+      chunk.function = from.function;
+      chunk.count = from.count;
+      if (from.function) {
+        chunk.first = program->functions.size();
+        std::unique_ptr<ast::FuncDecl>& f = old.functions[from.first];
+        if (lines != 0 || bytes != 0) ast::shift_locations(*f, lines, bytes);
+        program->functions.push_back(std::move(f));
+        splice.reused_from.push_back(static_cast<int>(from.first));
+      } else {
+        chunk.first = program->globals.size();
+        for (size_t k = 0; k < from.count; ++k) {
+          std::unique_ptr<ast::VarDecl>& g = old.globals[from.first + k];
+          if (lines != 0 || bytes != 0) ast::shift_locations(*g, lines, bytes);
+          program->globals.push_back(std::move(g));
+        }
+        if (globals_seen == old_global_chunks.size() ||
+            old_global_chunks[globals_seen] != *match[i]) {
+          globals_changed = true;
+        }
+        ++globals_seen;
+      }
+      splice.moves.push_back({*match[i], chunk.first, lines, bytes});
+    } else {
+      ast::Program& piece = *pieces[i];
+      chunk.function = !piece.functions.empty();
+      if (chunk.function) {
+        chunk.first = program->functions.size();
+        chunk.count = 1;
+        program->functions.push_back(std::move(piece.functions.front()));
+        splice.reused_from.push_back(-1);
+      } else {
+        chunk.first = program->globals.size();
+        chunk.count = piece.globals.size();
+        for (auto& g : piece.globals) program->globals.push_back(std::move(g));
+        globals_changed = true;
+      }
+    }
+    splice.chunks.push_back(chunk);
+  }
+  if (globals_seen != old_global_chunks.size()) globals_changed = true;
+
+  // Resolve the whole spliced program from scratch: symbol ids, bindings and
+  // loop ids then equal a cold parse's by construction.
+  auto symbols = std::make_shared<sym::SymbolTable>();
+  if (!ast::resolve(*program, *symbols, state.diags)) {
+    // Hand every reused declaration back, unmoved, and re-resolve the old
+    // program (a fresh table reproduces its ids), so it is the last good
+    // version again.
+    for (const Splice::Move& move : splice.moves) {
+      const Chunk& from = chunks_[move.old_chunk];
+      if (from.function) {
+        std::unique_ptr<ast::FuncDecl>& f = program->functions[move.first];
+        ast::shift_locations(*f, -move.lines, -move.bytes);
+        old.functions[from.first] = std::move(f);
+      } else {
+        for (size_t k = 0; k < from.count; ++k) {
+          std::unique_ptr<ast::VarDecl>& g = program->globals[move.first + k];
+          ast::shift_locations(*g, -move.lines, -move.bytes);
+          old.globals[from.first + k] = std::move(g);
+        }
+      }
+    }
+    auto old_symbols = std::make_shared<sym::SymbolTable>();
+    support::DiagnosticEngine ignored;
+    ast::resolve(old, *old_symbols, ignored);
+    state_->parsed.symbols = std::move(old_symbols);
+    return false;
+  }
+  state.parsed.program = std::move(program);
+  state.parsed.symbols = std::move(symbols);
+  state.parsed.ok = true;
+  splice.globals_changed = globals_changed;
+  return true;
+}
+
+std::vector<IncrementalEngine::Chunk> IncrementalEngine::map_chunks(
+    const ast::Program& program, const std::vector<SourceChunk>& spans) {
+  auto inside = [](const support::SourceLocation& loc, const SourceChunk& span) {
+    return loc.offset >= span.begin && loc.offset < span.end;
+  };
+  std::vector<Chunk> chunks;
+  size_t f = 0, g = 0;
+  for (const SourceChunk& span : spans) {
+    Chunk chunk;
+    chunk.span = span;
+    if (f < program.functions.size() && inside(program.functions[f]->location, span)) {
+      chunk.function = true;
+      chunk.first = f++;
+      chunk.count = 1;
+    } else {
+      chunk.first = g;
+      while (g < program.globals.size() && inside(program.globals[g]->location, span)) ++g;
+      chunk.count = g - chunk.first;
+      if (chunk.count == 0) return {};
+    }
+    chunks.push_back(chunk);
+  }
+  if (f != program.functions.size() || g != program.globals.size()) return {};
+  return chunks;
+}
+
 UpdateResult IncrementalEngine::update(const std::string& source) {
+  try {
+    return apply(source);
+  } catch (...) {
+    // The update may have failed with declarations halfway between the old
+    // and the new program, so neither is whole: drop everything that points
+    // into them. The next update parses and analyzes the whole file, as the
+    // first one did; the summary cache stays warm.
+    funcs_.clear();
+    chunks_.clear();
+    source_.clear();
+    globals_text_.clear();
+    state_.reset();
+    throw;
+  }
+}
+
+UpdateResult IncrementalEngine::apply(const std::string& source) {
   const auto start = std::chrono::steady_clock::now();
   UpdateResult result;
 
-  // Retire the previous snapshot up front: every incremental byte of state
-  // (function keys, cached verdicts, diagnostics, the cross-program summary
-  // cache) lives outside it, and releasing the old AST/arena first lets the
-  // new parse and analysis recycle that memory instead of holding two full
-  // snapshots live. The result contract already limits verdict pointer
-  // lifetime to the next update() call.
-  state_.reset();
+  // Only the previous AST outlives this point: its analysis goes up front,
+  // so the new analysis recycles that memory. The incremental state
+  // (funcs_, the cross-program summary cache) lives outside it.
+  if (state_) state_->release_analysis();
+  auto fresh_state = [this] {
+    auto state = std::make_unique<ProgramState>();
+    state->summaries->attach_shared(&cache_);
+    return state;
+  };
 
-  auto state = std::make_unique<ProgramState>();
-  state->summaries->attach_shared(&cache_);
-  state->parsed = ast::parse_and_resolve(source, state->diags);
-  if (!state->parsed.ok) {
-    result.error = state->diags.dump();
-    result.diagnostics = state->diags.diagnostics();
-    support::canonicalize_diagnostics(result.diagnostics);
-    return result;  // incremental state (keys, verdicts, cache) stays intact
+  // --- Parse: reuse unchanged chunks, or parse the whole file --------------
+  std::unique_ptr<ProgramState> state = fresh_state();
+  std::vector<SourceChunk> spans;
+  const bool split = split_chunks(source, spans);
+  Splice splice;
+  if (!split || chunks_.empty() || !splice_program(source, spans, *state, splice)) {
+    // Any error takes this path too, so diagnostics are a cold parse's.
+    state = fresh_state();
+    state->parsed = ast::parse_and_resolve(source, state->diags);
+    if (!state->parsed.ok) {
+      result.error = state->diags.dump();
+      result.diagnostics = state->diags.diagnostics();
+      support::canonicalize_diagnostics(result.diagnostics);
+      return result;  // the last good version and its state stay intact
+    }
+    splice = Splice{};
+    splice.reused_from.assign(state->parsed.program->functions.size(), -1);
+    if (split) splice.chunks = map_chunks(*state->parsed.program, spans);
   }
+  // Reused declarations now live in the new program, out of the old one.
+  SSPAR_FAULTPOINT("incremental.update.post_parse");
   ast::Program& program = *state->parsed.program;
+  const size_t n = program.functions.size();
 
   sym::ArenaScope arena_scope(*state->arena);
   state->analyzer = std::make_unique<core::Analyzer>(program, *state->parsed.symbols,
@@ -160,28 +349,99 @@ UpdateResult IncrementalEngine::update(const std::string& source) {
                                                      &state->diags);
   options_.assumptions.apply(*state->analyzer, program);
   ipa::CallGraph graph(program);
-  state->analyzer->key_all_functions(graph);
+
+  // --- Carry reused functions' state over ----------------------------------
+  // A function parsed anew is dirty unless the previous version had one of
+  // its name with its key; look those keys up before the states move.
+  std::vector<std::optional<Hash>> prev_key(n);
+  if (std::count(splice.reused_from.begin(), splice.reused_from.end(), -1) > 0) {
+    std::unordered_map<std::string_view, Hash> keys_by_name;
+    for (const FuncState& fs : funcs_) keys_by_name.emplace(fs.name, fs.content_key);
+    for (size_t k = 0; k < n; ++k) {
+      if (splice.reused_from[k] >= 0) continue;
+      auto it = keys_by_name.find(program.functions[k]->name);
+      if (it != keys_by_name.end()) prev_key[k] = it->second;
+    }
+  }
+  std::vector<FuncState> next(n);
+  core::IdentityHashes identities;
+  for (size_t k = 0; k < n; ++k) {
+    if (splice.reused_from[k] < 0) continue;
+    next[k] = std::move(funcs_[splice.reused_from[k]]);
+    // The identity hash mixes the shapes of referenced globals.
+    if (!splice.globals_changed) identities.emplace(program.functions[k].get(), next[k].identity);
+  }
+  // Cached verdicts of reused functions name globals of the previous
+  // version; once a global chunk changed, those rebind by name. The old
+  // objects are still alive here, so their addresses are unambiguous.
+  std::unordered_map<const ast::VarDecl*, const ast::VarDecl*> rebound;
+  if (splice.globals_changed && !splice.moves.empty()) {
+    std::unordered_map<std::string_view, const ast::VarDecl*> by_name;
+    for (const auto& g : program.globals) by_name.emplace(g->name, g.get());
+    for (const auto& g : state_->parsed.program->globals) {
+      if (!g) continue;  // reused: the same object in the new program
+      auto it = by_name.find(g->name);
+      rebound.emplace(g.get(), it == by_name.end() ? nullptr : it->second);
+    }
+  }
+  state->analyzer->key_all_functions(graph, &identities);
 
   // --- Dirty-cone classification -------------------------------------------
   // A function is dirty when its content key changed or it is new. Content
   // keys fold the transitive callee closure in, so callers of dirty
   // functions are dirty by construction; removed callees flip their callers
   // the same way (the callee-key mix degrades to the unkeyed/unknown
-  // marker). A function with its key but a changed relative layout (a
-  // reformat inside it) re-runs too; one that merely moved stays clean.
-  std::map<std::string, FuncShape> shapes;
+  // marker). A function parsed anew re-runs even with its old key: its
+  // nodes are new. A reused function that merely moved stays clean.
   std::set<const ast::FuncDecl*> reanalyze;
+  std::vector<bool> fresh(n, false);
   UpdateStats stats;
-  stats.functions_total = static_cast<int>(program.functions.size());
-  for (const auto& function : program.functions) {
-    const std::pair<uint64_t, uint64_t>* key = state->analyzer->content_key(function.get());
-    FuncShape shape = compute_shape(*function, key != nullptr ? *key : std::pair<uint64_t, uint64_t>{});
-    shapes[function->name] = shape;
-    auto prev = func_states_.find(function->name);
-    const bool is_dirty = prev == func_states_.end() || prev->second.content_key != shape.content_key;
-    const bool relaid = !is_dirty && prev->second.layout != shape.layout;
-    if (is_dirty) ++stats.dirty;
-    if (is_dirty || relaid) reanalyze.insert(function.get());
+  stats.functions_total = static_cast<int>(n);
+  for (size_t k = 0; k < n; ++k) {
+    const ast::FuncDecl* function = program.functions[k].get();
+    FuncState& fs = next[k];
+    const Hash* key_ptr = state->analyzer->content_key(function);
+    const Hash key = key_ptr != nullptr ? *key_ptr : Hash{};
+    const bool reused = splice.reused_from[k] >= 0;
+    const bool dirty = reused ? fs.content_key != key : !prev_key[k] || *prev_key[k] != key;
+    bool rerun = dirty || !reused;
+    if (!rerun) {
+      // Clean: move its cached diagnostics along with it...
+      const int64_t lines = static_cast<int64_t>(function->location.line) - fs.anchor.line;
+      const int64_t bytes = static_cast<int64_t>(function->location.offset) - fs.anchor.offset;
+      if (lines != 0 || bytes != 0) {
+        for (support::Diagnostic& d : fs.diags) d = rebase_diagnostic(std::move(d), lines, bytes);
+      }
+      // ...and point its cached verdicts at the new globals.
+      auto names_old_global = [&rebound](const core::LoopVerdict& v) {
+        return std::any_of(v.privates.begin(), v.privates.end(),
+                           [&rebound](const ast::VarDecl* p) { return rebound.count(p) > 0; });
+      };
+      if (!rebound.empty() &&
+          std::any_of(fs.verdicts->begin(), fs.verdicts->end(), names_old_global)) {
+        std::vector<core::LoopVerdict> moved = *fs.verdicts;
+        for (core::LoopVerdict& v : moved) {
+          for (const ast::VarDecl*& priv : v.privates) {
+            auto it = rebound.find(priv);
+            if (it == rebound.end()) continue;
+            rerun |= it->second == nullptr;  // unreachable once sema passed
+            priv = it->second;
+          }
+        }
+        fs.verdicts = std::make_shared<const std::vector<core::LoopVerdict>>(std::move(moved));
+      }
+    } else if (!reused) {
+      fs.name = function->name;
+      fs.layout = compute_layout(*function);
+    }
+    fs.anchor = function->location;
+    fs.content_key = key;
+    fs.identity = identities.at(function);
+    if (dirty) ++stats.dirty;
+    if (rerun) {
+      reanalyze.insert(function);
+      fresh[k] = true;
+    }
   }
   stats.reanalyzed = static_cast<int>(reanalyze.size());
 
@@ -193,47 +453,26 @@ UpdateResult IncrementalEngine::update(const std::string& source) {
   // needing it at all.
   state->analyzer->run(&reanalyze, &graph);
 
-  // --- Verdicts: fresh for the cone, rebound from cache elsewhere ----------
+  // --- Verdicts: fresh for the cone, cached elsewhere ----------------------
   core::Parallelizer parallelizer(*state->analyzer);
   std::vector<core::LoopVerdict> verdicts;
-  std::map<std::string, std::pair<size_t, size_t>> verdict_spans;  // name -> [begin, end)
-  for (const auto& function : program.functions) {
-    const size_t begin = verdicts.size();
-    if (reanalyze.count(function.get()) != 0) {
-      auto fresh = parallelizer.analyze_all(*function);
-      verdicts.insert(verdicts.end(), fresh.begin(), fresh.end());
+  std::vector<size_t> verdict_begin(n + 1);
+  for (size_t k = 0; k < n; ++k) {
+    verdict_begin[k] = verdicts.size();
+    if (fresh[k]) {
+      std::vector<core::LoopVerdict> computed = parallelizer.analyze_all(*program.functions[k]);
+      verdicts.insert(verdicts.end(), computed.begin(), computed.end());
     } else {
-      const FuncState& prev = func_states_.at(function->name);
-      std::vector<const ast::For*> loops =
-          ast::collect_loops(static_cast<const ast::Stmt*>(function->body.get()));
-      std::vector<const ast::VarDecl*> locals = enumerate_locals(*function);
-      for (const CachedVerdict& cached : *prev.verdicts) {
-        core::LoopVerdict v = cached.verdict;
-        const ast::For* loop = loops.at(cached.loop_ordinal);
-        v.loop = loop;
-        v.loop_id = loop->loop_id;
-        for (const PrivateRef& ref : cached.privates) {
-          v.privates.push_back(ref.global ? program.find_global(ref.name)
-                                          : locals.at(ref.ordinal));
-        }
-        verdicts.push_back(std::move(v));
-        ++stats.reused_verdicts;
-      }
+      verdicts.insert(verdicts.end(), next[k].verdicts->begin(), next[k].verdicts->end());
+      stats.reused_verdicts += static_cast<int>(next[k].verdicts->size());
     }
-    verdict_spans[function->name] = {begin, verdicts.size()};
   }
+  verdict_begin[n] = verdicts.size();
 
   // --- Diagnostics: fresh from the cone + cached buckets for clean code ----
   std::vector<support::Diagnostic> diags = state->diags.diagnostics();
-  for (const auto& function : program.functions) {
-    if (reanalyze.count(function.get()) != 0) continue;
-    const FuncState& prev = func_states_.at(function->name);
-    const support::SourceLocation& now = shapes.at(function->name).anchor;
-    const int64_t lines = static_cast<int64_t>(now.line) - prev.anchor.line;
-    const int64_t bytes = static_cast<int64_t>(now.offset) - prev.anchor.offset;
-    for (const support::Diagnostic& d : prev.diags) {
-      diags.push_back(lines == 0 && bytes == 0 ? d : rebase_diagnostic(d, lines, bytes));
-    }
+  for (size_t k = 0; k < n; ++k) {
+    if (!fresh[k]) diags.insert(diags.end(), next[k].diags.begin(), next[k].diags.end());
   }
   support::canonicalize_diagnostics(diags);
 
@@ -257,80 +496,49 @@ UpdateResult IncrementalEngine::update(const std::string& source) {
     }
   }
 
-  // --- Annotate + emit ------------------------------------------------------
-  result.annotated = transform::annotate_parallel_loops(program, verdicts);
-  result.output = ast::print_program(program);
+  // --- Annotate + print the cone; clean functions splice their text --------
+  const std::span<const core::LoopVerdict> all_verdicts(verdicts);
+  for (size_t k = 0; k < n; ++k) {
+    if (!fresh[k]) continue;
+    ast::FuncDecl& function = *program.functions[k];
+    if (splice.reused_from[k] >= 0) transform::clear_annotations(function);
+    next[k].annotated = transform::annotate_parallel_loops(
+        function, all_verdicts.subspan(verdict_begin[k], verdict_begin[k + 1] - verdict_begin[k]));
+    next[k].text.clear();
+    ast::print_function(function, next[k].text);
+  }
+  std::string globals_text = splice.globals_changed ? ast::print_globals(program) : std::string();
+  const std::string& globals = splice.globals_changed ? globals_text : globals_text_;
+  size_t output_size = globals.size();
+  for (const FuncState& fs : next) output_size += fs.text.size();
+  result.output.reserve(output_size);
+  result.output = globals;
+  for (const FuncState& fs : next) {
+    result.output += fs.text;
+    result.annotated += fs.annotated;
+  }
 
   // --- Harvest the new snapshot --------------------------------------------
-  // Diagnostics are attributed to functions by source-line span: every W03xx
+  // Diagnostics are attributed to functions by source position: every W03xx
   // anchors inside the function being flowed (call sites anchor in the
-  // caller), and functions occupy disjoint line ranges in source order.
-  std::vector<std::pair<uint32_t, const ast::FuncDecl*>> span_index;
-  for (const auto& function : program.functions) {
-    span_index.emplace_back(shapes.at(function->name).anchor.line, function.get());
-  }
-  std::sort(span_index.begin(), span_index.end());
-  auto owner_of = [&](uint32_t line) -> const ast::FuncDecl* {
-    if (span_index.empty()) return nullptr;
-    auto it = std::upper_bound(
-        span_index.begin(), span_index.end(), line,
-        [](uint32_t l, const auto& entry) { return l < entry.first; });
-    return it == span_index.begin() ? span_index.front().second : std::prev(it)->second;
-  };
-  std::map<std::string, std::vector<support::Diagnostic>> diag_buckets;
+  // caller), functions occupy disjoint byte ranges in source order, and
+  // nothing of a function precedes its name token but its return type.
+  std::vector<std::vector<support::Diagnostic>> buckets(n);
   for (const support::Diagnostic& d : diags) {
-    if (const ast::FuncDecl* owner = owner_of(d.location.line)) {
-      diag_buckets[owner->name].push_back(d);
-    }
+    auto it = std::upper_bound(program.functions.begin(), program.functions.end(),
+                               d.location.offset, [](uint32_t offset, const auto& f) {
+                                 return offset < f->location.offset;
+                               });
+    if (n > 0) buckets[it == program.functions.begin() ? 0 : (it - program.functions.begin()) - 1].push_back(d);
   }
-
-  std::map<std::string, FuncState> next_states;
-  for (const auto& function : program.functions) {
-    FuncState fs;
-    const FuncShape& shape = shapes.at(function->name);
-    fs.content_key = shape.content_key;
-    fs.layout = shape.layout;
-    fs.anchor = shape.anchor;
-    fs.diags = std::move(diag_buckets[function->name]);
-    if (reanalyze.count(function.get()) != 0) {
-      // Strip AST pointers from the fresh verdicts so they survive the next
-      // re-parse.
-      std::vector<const ast::For*> loops =
-          ast::collect_loops(static_cast<const ast::Stmt*>(function->body.get()));
-      std::vector<const ast::VarDecl*> locals = enumerate_locals(*function);
-      std::map<const ast::VarDecl*, size_t> local_ordinals;
-      for (size_t k = 0; k < locals.size(); ++k) local_ordinals[locals[k]] = k;
-      const auto [begin, end] = verdict_spans.at(function->name);
-      std::vector<CachedVerdict> stripped;
-      stripped.reserve(end - begin);
-      for (size_t k = begin; k < end; ++k) {
-        CachedVerdict cached;
-        cached.verdict = verdicts[k];
-        auto loop_it = std::find(loops.begin(), loops.end(), verdicts[k].loop);
-        cached.loop_ordinal = static_cast<size_t>(loop_it - loops.begin());
-        for (const ast::VarDecl* priv : verdicts[k].privates) {
-          PrivateRef ref;
-          auto ord = local_ordinals.find(priv);
-          if (ord != local_ordinals.end()) {
-            ref.ordinal = ord->second;
-          } else {
-            ref.global = true;
-            ref.name = priv->name;
-          }
-          cached.privates.push_back(std::move(ref));
-        }
-        cached.verdict.loop = nullptr;
-        cached.verdict.privates.clear();
-        stripped.push_back(std::move(cached));
-      }
-      fs.verdicts =
-          std::make_shared<const std::vector<CachedVerdict>>(std::move(stripped));
-    } else {
-      // Shared, not copied: the cached vector is immutable, so a clean
-      // function's verdicts ride through any number of updates for free.
-      fs.verdicts = func_states_.at(function->name).verdicts;
+  for (size_t k = 0; k < n; ++k) {
+    next[k].diags = std::move(buckets[k]);
+    if (fresh[k]) {
+      // Immutable from here on: clean updates share it.
+      next[k].verdicts = std::make_shared<const std::vector<core::LoopVerdict>>(
+          verdicts.begin() + static_cast<ptrdiff_t>(verdict_begin[k]),
+          verdicts.begin() + static_cast<ptrdiff_t>(verdict_begin[k + 1]));
     }
-    next_states[function->name] = std::move(fs);
   }
 
   // --- Commit ---------------------------------------------------------------
@@ -338,9 +546,12 @@ UpdateResult IncrementalEngine::update(const std::string& source) {
   stats.update_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - start)
                         .count();
-  func_states_ = std::move(next_states);
+  funcs_ = std::move(next);
+  chunks_ = std::move(splice.chunks);
+  source_ = source;
+  if (splice.globals_changed) globals_text_ = std::move(globals_text);
   last_diags_ = diags;
-  state_ = std::move(state);
+  state_ = std::move(state);  // frees the previous version's replaced chunks
   totals_.add(stats);
 
   result.ok = true;

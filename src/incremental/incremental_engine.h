@@ -5,31 +5,41 @@
 // source versions and exposes update(new_source) -> UpdateResult. Each
 // update:
 //
-//   1. re-parses the new source and re-keys EVERY function with the PR 5/7
-//      cross-program content keys (printed body + signature, referenced
-//      globals + assumption bounds, transitive callee keys, SCCs keyed as a
-//      group with member locations folded in),
-//   2. computes the dirty cone: functions whose key changed or that are new.
+//   1. splits the new source into top-level chunks (see chunks.h). A chunk
+//      whose bytes and start column equal a chunk of the previous good
+//      version keeps its parsed declarations: they move into the new program
+//      and, if the chunk moved, get one walk that shifts their positions.
+//      Only the other chunks are parsed, each alone at its absolute
+//      position; sema then resolves the whole spliced program with a fresh
+//      symbol table, so it is the program a cold parse builds. Any parse or
+//      sema error, a source the splitter cannot settle, the first update and
+//      the update after an exception parse the whole file instead,
+//   2. keys every function with the cross-program content keys
+//      (printed body + signature, referenced globals + assumption bounds,
+//      transitive callee keys, SCCs keyed as a group with member locations
+//      folded in). A reused function keeps its identity hash unless a
+//      global chunk changed, so only re-parsed functions print their body,
+//   3. computes the dirty cone: functions whose key changed or that are new.
 //      Transitive callers are dirty automatically — a caller's key folds its
 //      callees' keys in, so editing a helper flips every caller up the call
 //      graph. Context-sensitive summary slots are invalidated the same way:
 //      their cache address includes the entry-fact fingerprint projected
 //      from the caller, so a dirty caller stops hitting the old slot even
 //      when the callee body is unchanged,
-//   3. additionally marks functions whose content key is unchanged but whose
-//      layout RELATIVE to their own start changed (a reformat inside the
-//      body): their cached positions cannot be shifted into place, so they
-//      re-run too (their summaries still reuse). A function that merely
-//      moved — same key, same relative layout — stays clean: verdict text
-//      carries no positions, and its cached diagnostics are rebased by the
-//      function's line and byte delta (position plus the "loop at line N"
-//      text of W03xx messages),
-//   4. re-summarizes/re-analyzes only dirty + re-laid-out functions; every
-//      clean function reuses its cached summaries (via the engine's
-//      persistent ipa::CrossProgramCache), loop verdicts, and diagnostics,
-//   5. re-annotates and re-emits, and reports diagnostics as a delta
-//      (added/removed/unchanged) against the previous update in canonical
-//      (line, column, code) order.
+//   4. additionally re-runs every re-parsed function: its nodes are new, and
+//      so is their layout relative to the function's start whenever the
+//      chunk changed inside. A reused function that merely moved — same
+//      key — stays clean: verdict text carries no positions, and its cached
+//      diagnostics are rebased by the function's line and byte delta
+//      (position plus the "loop at line N" text of W03xx messages),
+//   5. re-summarizes/re-analyzes only that cone; every clean function reuses
+//      its cached summaries (via the engine's persistent
+//      ipa::CrossProgramCache), its loop verdicts (which point into its
+//      reused nodes), and its diagnostics,
+//   6. re-annotates and re-prints only the cone — clean functions splice
+//      their cached text into the output — and reports diagnostics as a
+//      delta (added/removed/unchanged) against the previous update in
+//      canonical (line, column, code) order.
 //
 // Correctness contract: for ANY update sequence, the final verdicts,
 // annotated output, and canonical diagnostics are byte-identical to a cold
@@ -38,7 +48,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,6 +55,7 @@
 
 #include "core/analyzer.h"
 #include "core/parallelizer.h"
+#include "incremental/chunks.h"
 #include "incremental/update_stats.h"
 #include "ipa/cross_cache.h"
 #include "pipeline/assumptions.h"
@@ -88,11 +98,11 @@ class IncrementalEngine {
   IncrementalEngine(const IncrementalEngine&) = delete;
   IncrementalEngine& operator=(const IncrementalEngine&) = delete;
 
-  // Applies one source version. A failed parse leaves the engine's
-  // incremental state (function keys, cached verdicts and diagnostics, the
-  // summary cache) untouched — the session survives a syntax error mid-edit
-  // and the next successful update is still incremental — but the previous
-  // AST snapshot is released, so program() returns null until then.
+  // Applies one source version. A failed parse leaves the engine's state
+  // untouched — the session survives a syntax error mid-edit, program()
+  // still returns the last good version, and the next successful update is
+  // still incremental against it. An exception drops the reuse state: the
+  // next update is then analyzed like the first.
   UpdateResult update(const std::string& source);
 
   const EngineTotals& totals() const { return totals_; }
@@ -104,48 +114,63 @@ class IncrementalEngine {
   // no-op without a store.
   void flush_store();
 
-  // The current AST snapshot (null before the first successful update).
+  // The last good version's AST (null before the first successful update).
   const ast::Program* program() const;
 
  private:
-  // A cached verdict with every AST pointer replaced by rebind info, so it
-  // survives re-parses: the loop by pre-order ordinal, each private variable
-  // by global name or by ordinal in the function's declaration order
-  // (params, then DeclStmts in pre-order). A clean function's printed body
-  // is identical, so both enumerations are stable.
-  struct PrivateRef {
-    bool global = false;
-    std::string name;     // global name (global == true)
-    size_t ordinal = 0;   // local declaration ordinal (global == false)
-  };
-  struct CachedVerdict {
-    core::LoopVerdict verdict;  // loop = nullptr, privates empty
-    size_t loop_ordinal = 0;
-    std::vector<PrivateRef> privates;
-  };
-  // Everything remembered about one function between updates. Keyed by
-  // function name; no pointers into any AST.
+  // Everything remembered about one function between updates, aligned with
+  // program()->functions.
   struct FuncState {
+    std::string name;
     std::pair<uint64_t, uint64_t> content_key;
+    // core::Analyzer's identity hash: valid for the next version while the
+    // function's chunk and every global chunk stay the same.
+    std::pair<uint64_t, uint64_t> identity;
     // Hash of every node kind + source position in the function (plus the
-    // signature), relative to `anchor`: unchanged layout means every cached
-    // position is accurate once shifted by the anchor's move.
+    // signature), relative to `anchor`. A reused chunk keeps it as is.
     std::pair<uint64_t, uint64_t> layout;
     support::SourceLocation anchor;  // the function's name token
-    // Immutable once built; clean functions share one vector across updates
-    // instead of deep-copying hundreds of verdicts per keystroke.
-    std::shared_ptr<const std::vector<CachedVerdict>> verdicts;
+    // Immutable once built; a clean function shares one vector across
+    // updates. The verdicts point into the function's own nodes, which a
+    // clean function keeps, and at globals, which rebind by name when a
+    // global chunk changes.
+    std::shared_ptr<const std::vector<core::LoopVerdict>> verdicts;
     // Diagnostics attributed to this function by source-line span, at the
     // positions of `anchor`.
     std::vector<support::Diagnostic> diags;
+    std::string text;   // ast::print_function output, annotations included
+    int annotated = 0;  // loops annotated in `text`
+  };
+  // One chunk of the last good version and the declarations parsed from it:
+  // functions[first] or globals[first, first + count) of program().
+  struct Chunk {
+    SourceChunk span;
+    bool function = false;
+    size_t first = 0;
+    size_t count = 0;
   };
   struct ProgramState;  // arena + summaries + parse + analyzer (in member order)
+  struct Splice;        // which declarations of a new version come from where
+
+  UpdateResult apply(const std::string& source);
+  // Builds the new version's program from reused and re-parsed chunks into
+  // `state`; false (old program intact) when it must be parsed whole.
+  bool splice_program(const std::string& source, const std::vector<SourceChunk>& spans,
+                      ProgramState& state, Splice& splice);
+  // Chunks of a whole-file parse (empty when they do not map onto it).
+  static std::vector<Chunk> map_chunks(const ast::Program& program,
+                                       const std::vector<SourceChunk>& spans);
 
   EngineOptions options_;
   // Persistent content-addressed summary cache: survives across updates, so
   // clean functions' summaries rehydrate instead of recomputing.
   ipa::CrossProgramCache cache_;
-  std::map<std::string, FuncState> func_states_;
+  // The last good version: its source, chunks, per-function state and the
+  // printed globals block (ast::print_globals).
+  std::string source_;
+  std::vector<Chunk> chunks_;
+  std::vector<FuncState> funcs_;
+  std::string globals_text_;
   std::vector<support::Diagnostic> last_diags_;
   std::unique_ptr<ProgramState> state_;  // last successful update's program
   EngineTotals totals_;

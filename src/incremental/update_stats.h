@@ -17,10 +17,11 @@
 namespace sspar::incremental {
 
 // Per-update counters. `dirty` counts functions whose content key changed
-// (or that are new); `reanalyzed` additionally includes functions whose key
-// held but whose layout relative to their own start changed (a reformat
-// inside the body). A function that only moved is neither: its verdicts
-// carry no positions and its diagnostics are rebased by the move.
+// (or that are new); `reanalyzed` additionally includes functions parsed
+// anew with their key unchanged (an edit inside the function's chunk that
+// keeps its printed source, such as a reformat). A function that only moved
+// is neither: its verdicts carry no positions and its diagnostics are
+// rebased by the move.
 struct UpdateStats {
   int functions_total = 0;
   int dirty = 0;

@@ -35,6 +35,7 @@ enum class DiagCode {
   ParseExpectedType = 202,   // E0202
   ParseExpectedDecl = 203,   // E0203: junk at top level
   ParseExpectedExpr = 204,   // E0204
+  ParseTooManyErrors = 205,  // E0205: the parser gave up (Parser::kMaxErrors)
 
   // Sema.
   SemaRedeclaration = 301,      // E0301

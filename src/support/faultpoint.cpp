@@ -18,6 +18,7 @@ namespace {
 // name missing from this list (faultpoint builds only), so the registry and
 // the code cannot drift apart; the crash-matrix tests iterate it.
 constexpr const char* kKnownPoints[] = {
+    "incremental.update.post_parse",  // new program assembled, not yet analyzed
     "server.accept.post_accept",   // connection admitted, handler not yet started
     "server.analyze.pre_run",      // request parsed, pipeline not yet entered
     "server.read.post_poll",       // bytes readable on a connection

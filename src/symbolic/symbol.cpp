@@ -6,25 +6,30 @@ namespace sspar::sym {
 
 SymbolId SymbolTable::intern(std::string_view name) {
   auto it = index_.find(name);
-  if (it != index_.end()) return it->second;
-  SymbolId id = static_cast<SymbolId>(names_.size());
-  names_.emplace_back(name);
-  index_.emplace(names_.back(), id);
-  return id;
+  return it != index_.end() ? it->second : add(name);
 }
 
 SymbolId SymbolTable::fresh(std::string_view base) {
-  std::string candidate(base);
-  if (!index_.contains(candidate)) return intern(candidate);
+  if (!index_.contains(base)) return add(base);
   auto it = fresh_suffix_.find(base);
   if (it == fresh_suffix_.end()) {
     it = fresh_suffix_.emplace(std::string(base), 0).first;
   }
   int& n = it->second;
+  std::string candidate;
   do {
-    candidate = std::string(base) + "." + std::to_string(n++);
+    candidate.assign(base);
+    candidate += '.';
+    candidate += std::to_string(n++);
   } while (index_.contains(candidate));
-  return intern(candidate);
+  return add(candidate);
+}
+
+SymbolId SymbolTable::add(std::string_view name) {
+  SymbolId id = static_cast<SymbolId>(names_.size());
+  names_.emplace_back(name);
+  index_.emplace(names_.back(), id);
+  return id;
 }
 
 const std::string& SymbolTable::name(SymbolId id) const {

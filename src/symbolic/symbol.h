@@ -30,6 +30,9 @@ class SymbolTable {
   SymbolId lookup(std::string_view name) const;
 
  private:
+  // Appends `name`, which must not be present yet.
+  SymbolId add(std::string_view name);
+
   // Transparent hash: lets find() take a string_view without materializing a
   // temporary std::string per lookup.
   struct StringHash {

@@ -1,5 +1,7 @@
 #include "transform/omp_emitter.h"
 
+#include <functional>
+#include <map>
 #include <set>
 
 #include "frontend/printer.h"
@@ -49,9 +51,12 @@ std::string build_hybrid_check(const core::LoopVerdict& v) {
 
 }  // namespace
 
-int annotate_parallel_loops(ast::Program& program,
-                            const std::vector<core::LoopVerdict>& verdicts) {
-  std::map<const ast::For*, const core::LoopVerdict*> by_loop;
+namespace {
+
+using VerdictByLoop = std::map<const ast::For*, const core::LoopVerdict*>;
+
+VerdictByLoop index_verdicts(std::span<const core::LoopVerdict> verdicts) {
+  VerdictByLoop by_loop;
   // Duplicate verdicts for the same loop resolve deterministically: a
   // parallel verdict beats a hybrid one beats a serial one; ties keep the
   // first verdict seen, independent of input order beyond that.
@@ -60,73 +65,90 @@ int annotate_parallel_loops(ast::Program& program,
     auto [it, inserted] = by_loop.emplace(v.loop, &v);
     if (!inserted && rank(&v) > rank(it->second)) it->second = &v;
   }
+  return by_loop;
+}
 
+int annotate_function(ast::FuncDecl& function, const VerdictByLoop& by_loop) {
   int annotated = 0;
-  for (auto& function : program.functions) {
-    // Pre-order walk; skip subtrees of annotated loops so only the outermost
-    // parallel loop of each nest gets the pragma.
-    std::function<void(ast::Stmt*)> visit = [&](ast::Stmt* stmt) {
-      if (!stmt) return;
-      if (auto* loop = stmt->as<ast::For>()) {
-        auto found = by_loop.find(loop);
-        const core::LoopVerdict* v = found == by_loop.end() ? nullptr : found->second;
-        if (v && v->parallel) {
-          loop->annotations.push_back(build_pragma(*v));
-          loop->annotations.push_back("// sspar: " + v->reason);
-          if (v->schedule != core::LoopVerdict::ScheduleHint::None) {
-            const char* kind =
-                v->schedule == core::LoopVerdict::ScheduleHint::Static ? "static" : "dynamic";
-            loop->annotations.push_back(support::format("// sspar: schedule(%s) — %s", kind,
-                                                        v->schedule_reason.c_str()));
-          }
-          ++annotated;
-          return;  // don't annotate nested loops
+  // Pre-order walk; skip subtrees of annotated loops so only the outermost
+  // parallel loop of each nest gets the pragma.
+  std::function<void(ast::Stmt*)> visit = [&](ast::Stmt* stmt) {
+    if (!stmt) return;
+    if (auto* loop = stmt->as<ast::For>()) {
+      auto found = by_loop.find(loop);
+      const core::LoopVerdict* v = found == by_loop.end() ? nullptr : found->second;
+      if (v && v->parallel) {
+        loop->annotations.push_back(build_pragma(*v));
+        loop->annotations.push_back("// sspar: " + v->reason);
+        if (v->schedule != core::LoopVerdict::ScheduleHint::None) {
+          const char* kind =
+              v->schedule == core::LoopVerdict::ScheduleHint::Static ? "static" : "dynamic";
+          loop->annotations.push_back(support::format("// sspar: schedule(%s) — %s", kind,
+                                                      v->schedule_reason.c_str()));
         }
-        if (v && v->hybrid) {
-          std::string check = build_hybrid_check(*v);
-          if (!check.empty()) {
-            loop->annotations.push_back(support::format(
-                "// sspar: hybrid — %s of '%s' verified at runtime",
-                core::property_name(v->hybrid_property), v->hybrid_index_array.c_str()));
-            loop->hybrid_check = check;
-            loop->hybrid_pragma = build_pragma(*v);
-            return;  // the dual-version emission covers the whole nest
-          }
-        }
-        visit(loop->body.get());
-        return;
+        ++annotated;
+        return;  // don't annotate nested loops
       }
-      switch (stmt->kind) {
-        case ast::StmtNodeKind::Compound:
-          for (auto& s : stmt->as<ast::Compound>()->body) visit(s.get());
-          break;
-        case ast::StmtNodeKind::If: {
-          auto* s = stmt->as<ast::If>();
-          visit(s->then_branch.get());
-          visit(s->else_branch.get());
-          break;
+      if (v && v->hybrid) {
+        std::string check = build_hybrid_check(*v);
+        if (!check.empty()) {
+          loop->annotations.push_back(support::format(
+              "// sspar: hybrid — %s of '%s' verified at runtime",
+              core::property_name(v->hybrid_property), v->hybrid_index_array.c_str()));
+          loop->hybrid_check = check;
+          loop->hybrid_pragma = build_pragma(*v);
+          return;  // the dual-version emission covers the whole nest
         }
-        case ast::StmtNodeKind::While:
-          visit(stmt->as<ast::While>()->body.get());
-          break;
-        default:
-          break;
       }
-    };
-    visit(function->body.get());
-  }
+      visit(loop->body.get());
+      return;
+    }
+    switch (stmt->kind) {
+      case ast::StmtNodeKind::Compound:
+        for (auto& s : stmt->as<ast::Compound>()->body) visit(s.get());
+        break;
+      case ast::StmtNodeKind::If: {
+        auto* s = stmt->as<ast::If>();
+        visit(s->then_branch.get());
+        visit(s->else_branch.get());
+        break;
+      }
+      case ast::StmtNodeKind::While:
+        visit(stmt->as<ast::While>()->body.get());
+        break;
+      default:
+        break;
+    }
+  };
+  visit(function.body.get());
   return annotated;
 }
 
+}  // namespace
+
+int annotate_parallel_loops(ast::Program& program,
+                            const std::vector<core::LoopVerdict>& verdicts) {
+  const VerdictByLoop by_loop = index_verdicts(verdicts);
+  int annotated = 0;
+  for (auto& function : program.functions) annotated += annotate_function(*function, by_loop);
+  return annotated;
+}
+
+int annotate_parallel_loops(ast::FuncDecl& function,
+                            std::span<const core::LoopVerdict> verdicts) {
+  return annotate_function(function, index_verdicts(verdicts));
+}
+
 void clear_annotations(ast::Program& program) {
-  for (auto& function : program.functions) {
-    // collect_loops is recursive, so this reaches nested loops too.
-    ast::Stmt* body = function->body.get();
-    for (ast::For* loop : ast::collect_loops(body)) {
-      loop->annotations.clear();
-      loop->hybrid_check.clear();
-      loop->hybrid_pragma.clear();
-    }
+  for (auto& function : program.functions) clear_annotations(*function);
+}
+
+void clear_annotations(ast::FuncDecl& function) {
+  // collect_loops is recursive, so this reaches nested loops too.
+  for (ast::For* loop : ast::collect_loops(static_cast<ast::Stmt*>(function.body.get()))) {
+    loop->annotations.clear();
+    loop->hybrid_check.clear();
+    loop->hybrid_pragma.clear();
   }
 }
 

@@ -2,6 +2,7 @@
 // re-emits the program (the Cetus-style back end of the pipeline).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,11 +20,16 @@ namespace sspar::transform {
 // nested parallel regions). Returns the number of loops annotated.
 int annotate_parallel_loops(ast::Program& program,
                             const std::vector<core::LoopVerdict>& verdicts);
+// One function's loops, from that function's verdicts: the annotations the
+// whole-program call gives them.
+int annotate_parallel_loops(ast::FuncDecl& function,
+                            std::span<const core::LoopVerdict> verdicts);
 
 // Strips every loop annotation added by annotate_parallel_loops, so a
 // program can be re-annotated under different verdicts (pipeline::Session
 // re-entrancy).
 void clear_annotations(ast::Program& program);
+void clear_annotations(ast::FuncDecl& function);
 
 // Convenience one-shot: parse -> analyze -> parallelize -> annotate -> print.
 // Compatibility wrapper over pipeline::Session — prefer the Session API for

@@ -79,7 +79,9 @@ TEST(BatchAnalyzer, MalformedSourceYieldsDiagnosticNotAbort) {
 TEST(BatchAnalyzer, ReportsComeBackInInputOrder) {
   BatchAnalyzer analyzer(BatchOptions{/*threads=*/8, {}});
   std::vector<ProgramInput> inputs;
-  for (int i = 0; i < 40; ++i) inputs.push_back(good("p" + std::to_string(i)));
+  for (int i = 0; i < 40; ++i) {
+    inputs.push_back(good(std::string("p").append(std::to_string(i))));
+  }
   BatchReport report = analyzer.run(inputs);
   ASSERT_EQ(report.programs.size(), inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
@@ -109,7 +111,9 @@ TEST(BatchAnalyzer, ThreadClamping) {
 TEST(BatchAnalyzer, SingleThreadRunsSeriallyOnCallingThread) {
   BatchAnalyzer analyzer(BatchOptions{/*threads=*/1, {}});
   std::vector<ProgramInput> inputs;
-  for (int i = 0; i < 6; ++i) inputs.push_back(good("p" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i) {
+    inputs.push_back(good(std::string("p").append(std::to_string(i))));
+  }
 
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::string> streamed;
@@ -134,7 +138,9 @@ TEST(BatchAnalyzer, SingleThreadRunsSeriallyOnCallingThread) {
 TEST(BatchAnalyzer, StreamingCallbackSeesEveryReportOnceConcurrently) {
   BatchAnalyzer analyzer(BatchOptions{/*threads=*/4, {}});
   std::vector<ProgramInput> inputs;
-  for (int i = 0; i < 24; ++i) inputs.push_back(good("p" + std::to_string(i)));
+  for (int i = 0; i < 24; ++i) {
+    inputs.push_back(good(std::string("p").append(std::to_string(i))));
+  }
   inputs.push_back(ProgramInput{"broken", "void f( {", {}});
 
   std::mutex seen_mutex;

@@ -197,6 +197,86 @@ TEST(Parser, ErrorRecovery) {
   EXPECT_FALSE(result.ok);
 }
 
+TEST(Parser, StrayTopLevelBraceIsConsumed) {
+  // A half-typed statement between two functions leaves g's '}' at top
+  // level; the parser once stalled on it, adding one error per turn until
+  // memory ran out.
+  DiagnosticEngine diags;
+  Parser parser("void f(int n) { }\nfor (int z = 0; z <\nvoid g(int n) { }\n", diags);
+  auto program = parser.parse_program();
+  ASSERT_TRUE(diags.has_errors());
+  EXPECT_LE(diags.diagnostics().size(), 3u);
+  for (const auto& d : diags.diagnostics()) {
+    EXPECT_EQ(d.code, support::DiagCode::ParseExpectedDecl) << d.to_string();
+  }
+  EXPECT_EQ(program->functions.size(), 1u);
+}
+
+TEST(Parser, StopsAfterTooManyErrors) {
+  std::string junk;
+  for (int i = 0; i < 5 * Parser::kMaxErrors; ++i) junk += "x;\n";
+  DiagnosticEngine diags;
+  Parser(junk, diags).parse_program();
+  const auto& list = diags.diagnostics();
+  ASSERT_EQ(list.size(), static_cast<size_t>(Parser::kMaxErrors) + 1);
+  EXPECT_EQ(list.back().code, support::DiagCode::ParseTooManyErrors);
+  EXPECT_EQ(list.back().location.line, static_cast<uint32_t>(Parser::kMaxErrors));
+}
+
+TEST(Parser, ParsesOneDeclarationAtItsAbsolutePosition) {
+  const std::string source = "int n;\n  void f(void) { n = 1; }\nint m;\n";
+  const size_t begin = source.find("void");
+  const size_t end = source.find('}') + 1;
+  DiagnosticEngine diags;
+  Parser parser(std::string_view(source).substr(0, end), diags,
+                {2, 3, static_cast<uint32_t>(begin)});
+  Program piece;
+  parser.parse_top_level(piece);
+  ASSERT_FALSE(diags.has_errors());
+  EXPECT_TRUE(parser.at_end());
+  ASSERT_EQ(piece.functions.size(), 1u);
+
+  // Every node sits where a whole-file parse puts it.
+  auto whole = parse_ok(source);
+  const FuncDecl& a = *piece.functions[0];
+  const FuncDecl& b = *whole.program->find_function("f");
+  EXPECT_EQ(a.location.to_string(), b.location.to_string());
+  EXPECT_EQ(a.location.offset, b.location.offset);
+  const auto* sa = a.body->body[0]->as<ExprStmt>();
+  const auto* sb = b.body->body[0]->as<ExprStmt>();
+  EXPECT_EQ(sa->expr->location.offset, sb->expr->location.offset);
+  EXPECT_EQ(sa->expr->location.column, sb->expr->location.column);
+}
+
+TEST(Ast, ShiftLocationsMovesEveryKnownPosition) {
+  auto r = parse_ok("int g[4];\nvoid f(int a[4]) {\n  int t = a[0];\n  for (int i = 0; i < t; i++) g[i] = i;\n}\n");
+  FuncDecl& f = *r.program->find_function("f");
+  std::vector<support::SourceLocation> before;
+  auto collect = [](const FuncDecl& fn) {
+    std::vector<support::SourceLocation> out{fn.location};
+    for (const auto& p : fn.params) out.push_back(p->location);
+    walk_stmts(static_cast<const Stmt*>(fn.body.get()), [&out](const Stmt* s) {
+      out.push_back(s->location);
+      if (const auto* ds = s->as<DeclStmt>()) {
+        for (const auto& d : ds->decls) out.push_back(d->location);
+      }
+      return true;
+    });
+    walk_exprs(fn.body.get(), [&out](const Expr* e) { out.push_back(e->location); });
+    return out;
+  };
+  before = collect(f);
+  shift_locations(f, 3, 40);
+  const auto after = collect(f);
+  ASSERT_EQ(before.size(), after.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    if (!before[i].valid()) continue;
+    EXPECT_EQ(after[i].line, before[i].line + 3);
+    EXPECT_EQ(after[i].column, before[i].column);
+    EXPECT_EQ(after[i].offset, before[i].offset + 40);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sema
 // ---------------------------------------------------------------------------
@@ -293,6 +373,21 @@ TEST(Printer, EmitsAnnotationsAboveLoop) {
   size_t for_pos = printed.find("for (");
   ASSERT_NE(pragma_pos, std::string::npos);
   EXPECT_LT(pragma_pos, for_pos);
+}
+
+TEST(Printer, BareBodiesOmitAnnotationsAndHybridDispatch) {
+  auto r = parse_ok("void f(int n, int a[]) { for (int i = 0; i < n; i++) { a[i] = i; } }");
+  const FuncDecl& f = *r.program->find_function("f");
+  const std::string bare = print_stmt(*f.body);
+  auto loops = collect_loops(static_cast<Stmt*>(r.program->find_function("f")->body.get()));
+  loops[0]->annotations.push_back("// note");
+  loops[0]->hybrid_check = "check(a)";
+  EXPECT_NE(print_stmt(*f.body), bare);
+  EXPECT_EQ(print_stmt(*f.body, 0, /*annotations=*/false), bare);
+  // print_program is the globals block plus every function.
+  std::string pieces = print_globals(*r.program);
+  for (const auto& fn : r.program->functions) print_function(*fn, pieces);
+  EXPECT_EQ(pieces, print_program(*r.program));
 }
 
 TEST(Printer, ParenthesizesByPrecedence) {

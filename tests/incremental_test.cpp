@@ -7,13 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "corpus/corpus.h"
 #include "driver/batch_analyzer.h"
+#include "frontend/sema.h"
+#include "frontend/printer.h"
+#include "incremental/chunks.h"
 #include "incremental/incremental_engine.h"
 #include "store/summary_store.h"
 #include "support/diagnostics.h"
+#include "support/faultpoint.h"
 
 namespace sspar::incremental {
 namespace {
@@ -301,14 +307,18 @@ void driver(void) {
   options.assumptions = assume;
   IncrementalEngine engine(options);
   ASSERT_TRUE(engine.update(base).ok);
+  const ast::Program* good = engine.program();
+  ASSERT_NE(good, nullptr);
+  const std::string good_text = ast::print_program(*good);
 
-  // A syntax error mid-edit: the update fails with diagnostics, the previous
-  // snapshot is released (program() is null until the next good update)...
+  // A syntax error mid-edit: the update fails with diagnostics, and the last
+  // good version stays the engine's program (the next update reuses it)...
   UpdateResult bad = engine.update("void broken( {");
   EXPECT_FALSE(bad.ok);
   EXPECT_FALSE(bad.error.empty());
   EXPECT_FALSE(bad.diagnostics.empty());
-  EXPECT_EQ(engine.program(), nullptr);
+  EXPECT_EQ(engine.program(), good);
+  EXPECT_EQ(ast::print_program(*engine.program()), good_text);
 
   // ...but the incremental state survives: the next good update only
   // re-analyzes the edited cone, not the whole program.
@@ -520,6 +530,434 @@ void aa_noisy(void) {
   expect_matches_cold(r, calmed, assume, "warning removed");
   EXPECT_EQ(r.delta.removed.size(), 1u);
   EXPECT_EQ(r.delta.added.size(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// Chunk reuse: unchanged top-level declarations keep their parsed objects
+// --------------------------------------------------------------------------
+
+// Every function of the engine's program by name.
+std::map<std::string, const ast::FuncDecl*> functions_of(const IncrementalEngine& engine) {
+  std::map<std::string, const ast::FuncDecl*> out;
+  for (const auto& f : engine.program()->functions) out[f->name] = f.get();
+  return out;
+}
+
+// The canonical diagnostics of a cold parse of `source` (for updates that
+// fail: their diagnostics must be exactly these, offsets included).
+std::vector<std::string> cold_parse_diag_lines(const std::string& source) {
+  support::DiagnosticEngine diags;
+  const ast::ParseResult parsed = ast::parse_and_resolve(source, diags);
+  EXPECT_FALSE(parsed.ok);
+  std::vector<support::Diagnostic> list = diags.diagnostics();
+  support::canonicalize_diagnostics(list);
+  return diag_lines(list);
+}
+
+TEST(IncrementalChunks, SplitterFollowsTheLexersTrivia) {
+  std::vector<SourceChunk> chunks;
+  const std::string source =
+      "int n; // {\n# define X {\n/* } { */ void f(void) {\n  n = 1; /* } */\n}\n  int a[3], b;\n";
+  ASSERT_TRUE(split_chunks(source, chunks));
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(source.substr(chunks[0].begin, chunks[0].end - chunks[0].begin), "int n;");
+  EXPECT_EQ(source.substr(chunks[1].begin, 4), "void");
+  EXPECT_EQ(source[chunks[1].end - 1], '}');
+  EXPECT_EQ(chunks[1].start.line, 3u);
+  EXPECT_EQ(chunks[1].start.column, 11u);
+  EXPECT_EQ(chunks[2].start.line, 6u);
+  EXPECT_EQ(chunks[2].start.column, 3u);
+  EXPECT_EQ(chunks[2].start.offset, source.find("int a[3]"));
+
+  EXPECT_FALSE(split_chunks("void f(void) { }\n}\n", chunks)) << "stray '}'";
+  EXPECT_FALSE(split_chunks("int n;\n/* open", chunks)) << "unterminated comment";
+  EXPECT_FALSE(split_chunks("int n;\nint m", chunks)) << "no terminator";
+  EXPECT_TRUE(split_chunks("  // nothing but trivia\n", chunks));
+  EXPECT_TRUE(chunks.empty());
+}
+
+TEST(IncrementalChunks, LeafEditReparsesOnlyTheEditedFunction) {
+  const pipeline::Assumptions assume = {{"n", 1}};
+  const std::string base = R"(int n;
+int a[100];
+int idx[100];
+void fill(void) {
+  for (int i = 0; i < n; i++) {
+    idx[i] = i + 1;
+  }
+}
+void leaf(void) {
+  for (int i = 0; i < n; i++) {
+    a[i] = i;
+  }
+}
+void scale(void) {
+  for (int i = 0; i < n; i++) {
+    a[idx[i]] = 2;
+  }
+}
+void driver(void) {
+  fill();
+  scale();
+}
+)";
+  EngineOptions options;
+  options.assumptions = assume;
+  IncrementalEngine engine(options);
+  ASSERT_TRUE(engine.update(base).ok);
+  const auto before = functions_of(engine);
+
+  std::string edited = base;
+  edited.replace(edited.find("a[i] = i;"), 9, "a[i] = i + 7;");
+  UpdateResult r = engine.update(edited);
+  expect_matches_cold(r, edited, assume, "leaf edit");
+  EXPECT_EQ(r.stats.dirty, 1);
+  EXPECT_EQ(r.stats.reanalyzed, 1);
+  const auto after = functions_of(engine);
+  EXPECT_NE(after.at("leaf"), before.at("leaf")) << "the edited chunk is parsed anew";
+  for (const char* name : {"fill", "scale", "driver"}) {
+    EXPECT_EQ(after.at(name), before.at(name)) << name << " must keep its parsed object";
+  }
+  // Reused loops carry their verdicts; each verdict points into the
+  // current program.
+  std::vector<const ast::For*> loops;
+  for (const auto& f : engine.program()->functions) {
+    for (const ast::For* loop : ast::collect_loops(static_cast<const ast::Stmt*>(f->body.get()))) {
+      loops.push_back(loop);
+    }
+  }
+  ASSERT_EQ(r.verdicts.size(), loops.size());
+  for (size_t i = 0; i < loops.size(); ++i) EXPECT_EQ(r.verdicts[i].loop, loops[i]);
+}
+
+TEST(IncrementalChunks, LineShiftsAboveAWarningAndAnSccMatchColdToTheByte) {
+  const pipeline::Assumptions assume = {{"n", 1}};
+  const std::string base = R"(int n;
+int a[100];
+void probe(void) {
+  for (int i = 0; i < n; i++) {
+    a[i] = mystery(i);
+  }
+}
+void even(int v) {
+  if (v > 0) { odd(v - 1); }
+}
+void odd(int v) {
+  if (v > 0) { even(v - 1); }
+}
+void work(void) {
+  for (int i = 0; i < n; i++) {
+    a[i] = i;
+    even(i);
+  }
+}
+)";
+  EngineOptions options;
+  options.assumptions = assume;
+  IncrementalEngine engine(options);
+  UpdateResult r = engine.update(base);
+  expect_matches_cold(r, base, assume, "base");
+  ASSERT_FALSE(r.diagnostics.empty());
+  EXPECT_EQ(r.diagnostics[0].code, support::DiagCode::AnalysisLoopCall);
+
+  std::string shifted = base;
+  shifted.insert(shifted.find("void probe"), "// probe\n/* a block\n   comment */\n");
+  r = engine.update(shifted);
+  expect_matches_cold(r, shifted, assume, "shift above the W0301 function");
+  expect_diags_match_cold(r, shifted, assume);
+  EXPECT_EQ(r.stats.reanalyzed, 3) << "even + odd key their locations, and work calls them";
+
+  const auto before = functions_of(engine);
+  shifted.insert(shifted.find("void even"), "\n\n  \n");
+  r = engine.update(shifted);
+  expect_matches_cold(r, shifted, assume, "shift above the SCC");
+  expect_diags_match_cold(r, shifted, assume);
+  EXPECT_EQ(r.stats.reanalyzed, 3);
+  EXPECT_EQ(functions_of(engine), before) << "moved chunks keep their objects";
+}
+
+TEST(IncrementalChunks, GlobalEditsRebindReusedFunctionsAndGlobalPrivates) {
+  const pipeline::Assumptions assume = {{"n", 1}};
+  const std::string base = R"(int n;
+int t;
+int a[100];
+int b[100];
+int c[10];
+void scale(void) {
+  for (int i = 0; i < n; i++) {
+    t = b[i];
+    a[i] = t * 2;
+  }
+}
+void other(void) {
+  for (int i = 0; i < n; i++) {
+    c[i] = i;
+  }
+}
+)";
+  EngineOptions options;
+  options.assumptions = assume;
+  IncrementalEngine engine(options);
+  UpdateResult r = engine.update(base);
+  expect_matches_cold(r, base, assume, "base");
+  ASSERT_EQ(r.verdicts.size(), 2u);
+  ASSERT_EQ(r.verdicts[0].privates.size(), 1u) << "t is privatized";
+  const auto before = functions_of(engine);
+  const ast::VarDecl* old_t = engine.program()->find_global("t");
+
+  // Init-only change of t: no key changes, but t is a new object; scale's
+  // cached verdict must name it.
+  std::string init_only = base;
+  init_only.replace(init_only.find("int t;"), 6, "int t = 3;");
+  r = engine.update(init_only);
+  expect_matches_cold(r, init_only, assume, "init-only global edit");
+  EXPECT_EQ(r.stats.dirty, 0);
+  EXPECT_EQ(r.stats.reanalyzed, 0);
+  EXPECT_EQ(functions_of(engine), before);
+  const ast::VarDecl* new_t = engine.program()->find_global("t");
+  EXPECT_NE(new_t, old_t);
+  ASSERT_EQ(r.verdicts[0].privates.size(), 1u);
+  EXPECT_EQ(r.verdicts[0].privates[0], new_t);
+
+  // Shape change of c: other re-runs on its reused object, scale stays
+  // clean and its private still names the current t.
+  std::string shape = init_only;
+  shape.replace(shape.find("int c[10];"), 10, "int c[20];");
+  r = engine.update(shape);
+  expect_matches_cold(r, shape, assume, "shape global edit");
+  EXPECT_EQ(r.stats.dirty, 1) << "other";
+  EXPECT_EQ(functions_of(engine), before);
+  EXPECT_EQ(r.verdicts[0].privates.at(0), engine.program()->find_global("t"));
+
+  // A new global above everything moves every chunk and renumbers symbols.
+  std::string added = "int zz[4];\n" + shape;
+  r = engine.update(added);
+  expect_matches_cold(r, added, assume, "global added on top");
+  expect_diags_match_cold(r, added, assume);
+  EXPECT_EQ(r.stats.dirty, 0);
+  EXPECT_EQ(r.verdicts[0].privates.at(0), engine.program()->find_global("t"));
+}
+
+TEST(IncrementalChunks, FallbackInputsMatchColdAndKeepTheSession) {
+  const pipeline::Assumptions assume = {{"n", 1}};
+  const std::string base = R"(int n;
+int a[100];
+void f(int m) {
+  for (int i = 0; i < n; i++) {
+    a[i] = i;
+  }
+}
+void g(int m) {
+  for (int i = 0; i < n; i++) {
+    a[i] = a[i] + m;
+  }
+}
+)";
+  EngineOptions options;
+  options.assumptions = assume;
+  IncrementalEngine engine(options);
+  ASSERT_TRUE(engine.update(base).ok);
+  const ast::Program* good = engine.program();
+
+  // A half-typed statement between two functions: a stray '}' at top level
+  // (this once sent the parser into unbounded allocation).
+  std::string dos = base;
+  dos.insert(dos.find("void g"), "for (int z = 0; z <\n");
+  // An unterminated block comment; a sema error (the rollback path).
+  const std::string open_comment = base + "/* \n";
+  std::string undeclared = base;
+  undeclared.replace(undeclared.find("a[i] + m"), 8, "a[i] + q");
+  for (const std::string& bad : {dos, open_comment, undeclared}) {
+    UpdateResult r = engine.update(bad);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(diag_lines(r.diagnostics), cold_parse_diag_lines(bad));
+    EXPECT_EQ(engine.program(), good) << "the last good version stays";
+  }
+  const std::string dos_back = base;
+  UpdateResult r = engine.update(dos_back);
+  expect_matches_cold(r, dos_back, assume, "back to the good version");
+  EXPECT_EQ(r.stats.reanalyzed, 0) << "the failures cost no reuse";
+
+  // Braces inside a #-line and inside comments are trivia, not chunks.
+  std::string trivia_braces = base;
+  trivia_braces.insert(trivia_braces.find("void g"), "# define OPEN {\n// }\n/* { */\n");
+  trivia_braces.insert(trivia_braces.find("a[i] = i;"), "/* } */ ");
+  r = engine.update(trivia_braces);
+  expect_matches_cold(r, trivia_braces, assume, "braces in trivia");
+  expect_diags_match_cold(r, trivia_braces, assume);
+  EXPECT_EQ(r.stats.reanalyzed, 1) << "f's chunk changed; g only moved";
+}
+
+TEST(IncrementalChunks, FunctionsSharingALineKeepTheirOwnDiagnostics) {
+  // Two warning functions on one line: cached diagnostics belong to the
+  // function whose bytes hold them, so re-running one never drops the
+  // other's warning.
+  const pipeline::Assumptions assume = {{"n", 1}};
+  const std::string base =
+      "int n;\nint a[100];\n"
+      "void p(void) { for (int i = 0; i < n; i++) { a[i] = mystery(i); } } "
+      "void q(void) { for (int i = 0; i < n; i++) { a[i] = enigma(i); } }\n";
+  EngineOptions options;
+  options.assumptions = assume;
+  IncrementalEngine engine(options);
+  UpdateResult r = engine.update(base);
+  expect_matches_cold(r, base, assume, "base");
+  ASSERT_EQ(r.diagnostics.size(), 2u);
+
+  std::string edited = base;
+  edited.replace(edited.find("enigma(i)"), 9, "enigma(i + 1)");
+  r = engine.update(edited);
+  expect_matches_cold(r, edited, assume, "q edited");
+  expect_diags_match_cold(r, edited, assume);
+  EXPECT_EQ(r.stats.reanalyzed, 1);
+  std::string again = edited;
+  again.replace(again.find("mystery(i)"), 10, "mystery(i + 1)");
+  r = engine.update(again);
+  expect_matches_cold(r, again, assume, "p edited");
+  expect_diags_match_cold(r, again, assume);
+  EXPECT_EQ(r.stats.reanalyzed, 2) << "q moved along its line: a new start column";
+}
+
+TEST(IncrementalChunks, AnExceptionMidUpdateLeavesTheNextUpdateExact) {
+  if (!support::faultpoint::compiled_in()) GTEST_SKIP() << "faultpoints off";
+  const pipeline::Assumptions assume = {{"n", 1}};
+  const std::string base = R"(int n;
+int a[100];
+void f(void) {
+  for (int i = 0; i < n; i++) {
+    a[i] = i;
+  }
+}
+void g(void) {
+  f();
+}
+)";
+  EngineOptions options;
+  options.assumptions = assume;
+  IncrementalEngine engine(options);
+  ASSERT_TRUE(engine.update(base).ok);
+
+  // The throw strikes after the splice moved g's reused declaration into
+  // the new program: neither program is whole, so the engine drops both.
+  std::string edited = "// moved\n" + base;
+  edited.replace(edited.find("a[i] = i;"), 9, "a[i] = i + 1;");
+  support::faultpoint::arm("incremental.update.post_parse", "throw");
+  EXPECT_THROW(engine.update(edited), support::faultpoint::FaultInjected);
+  support::faultpoint::disarm_all();
+  EXPECT_EQ(engine.program(), nullptr);
+
+  UpdateResult r = engine.update(edited);
+  expect_matches_cold(r, edited, assume, "update after an exception");
+  expect_diags_match_cold(r, edited, assume);
+  EXPECT_EQ(r.stats.reanalyzed, 2) << "analyzed like the first update";
+  std::string again = edited;
+  again.replace(again.find("a[i] = i + 1;"), 13, "a[i] = i + 2;");
+  r = engine.update(again);
+  expect_matches_cold(r, again, assume, "incremental again");
+  EXPECT_EQ(r.stats.reanalyzed, 2) << "f + its caller g";
+  EXPECT_EQ(r.stats.reused_verdicts, 0);
+}
+
+// Splice differential: seeded random edits of corpus programs through one
+// engine each — line inserts, deletes and swaps, comment inserts, and whole
+// chunk deletes, duplicates and swaps. Every update must equal a cold
+// analysis: output, verdicts and canonical diagnostics with byte offsets
+// when it parses, the cold parse's diagnostics when it does not.
+TEST(IncrementalChunks, SeededSpliceDifferentialOverCorpusMatchesCold) {
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  auto rand_below = [&state](size_t bound) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return bound == 0 ? size_t{0} : static_cast<size_t>(state % bound);
+  };
+  auto split_lines = [](const std::string& text) {
+    std::vector<std::string> lines;
+    size_t begin = 0;
+    while (begin < text.size()) {
+      size_t end = text.find('\n', begin);
+      if (end == std::string::npos) end = text.size();
+      lines.push_back(text.substr(begin, end - begin));
+      begin = end + 1;
+    }
+    return lines;
+  };
+  auto join_lines = [](const std::vector<std::string>& lines) {
+    std::string text;
+    for (const std::string& line : lines) text += line + "\n";
+    return text;
+  };
+
+  int updates = 0, failed = 0, spliced_chunks = 0;
+  for (const corpus::Entry& entry : corpus::all_entries()) {
+    SCOPED_TRACE(entry.name);
+    pipeline::Assumptions assume;
+    for (const auto& p : entry.params) assume.add(p.name, p.assume_min);
+    EngineOptions options;
+    options.assumptions = assume;
+    IncrementalEngine engine(options);
+    std::string good = entry.source;
+    ASSERT_TRUE(engine.update(good).ok);
+    std::string text = good;
+    for (int step = 0; step < 40; ++step) {
+      std::vector<std::string> lines = split_lines(text);
+      std::vector<SourceChunk> chunks;
+      const bool split = split_chunks(text, chunks);
+      switch (rand_below(7)) {
+        case 0:
+          lines.insert(lines.begin() + rand_below(lines.size() + 1),
+                       "// note " + std::to_string(step));
+          break;
+        case 1:
+          lines.insert(lines.begin() + rand_below(lines.size() + 1), "");
+          break;
+        case 2:
+          if (!lines.empty()) lines.erase(lines.begin() + rand_below(lines.size()));
+          break;
+        case 3:
+          if (lines.size() > 1) {
+            const size_t i = rand_below(lines.size() - 1);
+            std::swap(lines[i], lines[i + 1]);
+          }
+          break;
+        case 4:  // delete a chunk
+        case 5:  // duplicate a chunk (a redeclaration, or a second definition)
+        case 6:  // swap two chunks
+          if (split && chunks.size() > 1) {
+            const SourceChunk a = chunks[rand_below(chunks.size())];
+            const SourceChunk b = chunks[rand_below(chunks.size())];
+            const std::string a_text = text.substr(a.begin, a.end - a.begin);
+            const std::string b_text = text.substr(b.begin, b.end - b.begin);
+            std::string edited = text;
+            if (a.begin == b.begin || b.begin < a.begin) {
+              edited.erase(a.begin, a.end - a.begin);
+            } else {  // a before b: swap them, or duplicate a after b
+              edited.replace(b.begin, b.end - b.begin, a_text);
+              if (rand_below(2) == 0) edited.replace(a.begin, a.end - a.begin, b_text);
+            }
+            lines = split_lines(edited);
+            ++spliced_chunks;
+          }
+          break;
+      }
+      text = join_lines(lines);
+      UpdateResult r = engine.update(text);
+      ++updates;
+      const std::string label = entry.name + " step " + std::to_string(step);
+      if (r.ok) {
+        expect_matches_cold(r, text, assume, label);
+        expect_diags_match_cold(r, text, assume);
+        good = text;
+      } else {
+        ++failed;
+        EXPECT_EQ(diag_lines(r.diagnostics), cold_parse_diag_lines(text)) << label;
+        if (rand_below(2) == 0) text = good;  // the editor undoes, or types on
+      }
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(updates - failed, updates / 3) << "most updates should still parse";
+  EXPECT_GT(spliced_chunks, 0);
 }
 
 }  // namespace

@@ -116,8 +116,8 @@ TEST(Transform, DuplicateVerdictsResolveDeterministically) {
   hybrid.hybrid = true;
   hybrid.hybrid_property = core::EnablingProperty::Injective;
   hybrid.hybrid_index_array = "b";
-  hybrid.hybrid_check_lo = "0";
-  hybrid.hybrid_check_hi = "n - 1";
+  hybrid.hybrid_check_lo = std::string("0");
+  hybrid.hybrid_check_hi = std::string("n - 1");
 
   for (bool parallel_first : {false, true}) {
     std::vector<core::LoopVerdict> verdicts =
