@@ -7,7 +7,7 @@
 
 #include "kernels/pattern_kernels.h"
 #include "support/text.h"
-#include "transform/omp_emitter.h"
+#include "pipeline/session.h"
 
 using namespace sspar;
 
@@ -24,7 +24,7 @@ int main() {
   // First: show that the compile-time pipeline actually proves the loop.
   std::printf("Fig. 9 product kernel — compile-time verdict and runtime speedup\n\n");
 
-  auto translated = transform::translate_source(R"(
+  pipeline::Session session(R"(
     int ROWS;
     int rowptr[100001];
     double value[1000000];
@@ -46,8 +46,13 @@ int main() {
       }
     }
   )",
-                                                core::AnalyzerOptions{}, {{"ROWS", 1}});
-  for (const auto& v : translated.verdicts) {
+                            {{"ROWS", 1}});
+  const auto* verdicts = session.parallelize();
+  if (!verdicts) {
+    std::fprintf(stderr, "%s", session.diagnostics().dump().c_str());
+    return 1;
+  }
+  for (const auto& v : *verdicts) {
     if (v.parallel && v.uses_subscripted_subscripts) {
       std::printf("compile-time: loop %d parallel — %s\n", v.loop_id, v.reason.c_str());
     }

@@ -4,7 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "symbolic/context.h"
-#include "transform/omp_emitter.h"
+#include "pipeline/session.h"
 
 using namespace sspar;
 
@@ -109,9 +109,9 @@ void f(void) {
 
 void BM_TranslateFig9(benchmark::State& state) {
   for (auto _ : state) {
-    auto result = transform::translate_source(kFig9, core::AnalyzerOptions{},
-                                              {{"ROWLEN", 1}, {"COLUMNLEN", 1}});
-    benchmark::DoNotOptimize(result.parallelized);
+    pipeline::Session session(kFig9, {{"ROWLEN", 1}, {"COLUMNLEN", 1}});
+    session.annotate();
+    benchmark::DoNotOptimize(session.emit().output);
   }
 }
 BENCHMARK(BM_TranslateFig9);

@@ -1,8 +1,6 @@
 // Phase 2: aggregation of one-iteration effects across the iteration space
 // (paper Section 3.4, including the "forthcoming algebra" extensions).
 #include "core/body_interp.h"
-#include "symbolic/arena.h"
-#include "symbolic/recurrence.h"
 
 namespace sspar::core {
 
@@ -117,13 +115,12 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
           if (lam_coeff != 1) return nullptr;
           ExprPtr delta = sym::sub(bound, sym::make_iter_start(lam));
           (lower ? delta_lo_expr : delta_hi_expr) = delta;
-          auto split = sym::split_affine_in(delta, index_sym);
-          if (!split || has_any_lambda(delta)) return nullptr;
-          if (split->coeff != 0 && (!options_.enable_lambda_sum_rule || !trip_nonneg)) {
-            return nullptr;
-          }
-          ExprPtr total = split->coeff == 0 ? sym::mul(n_use, split->rest)
-                                            : affine_sum(split->coeff, split->rest, lb, ub, n);
+          auto split = sym::affine_in(delta, index_sym);
+          auto p = sym::const_stride(split);
+          if (!p) return nullptr;
+          if (*p != 0 && (!options_.enable_lambda_sum_rule || !trip_nonneg)) return nullptr;
+          ExprPtr total = *p == 0 ? sym::mul(n_use, split->rest)
+                                  : affine_sum(*p, split->rest, lb, ub, n);
           ExprPtr base = lower ? entry.lo() : entry.hi();
           if (!base) return nullptr;
           return sym::add(base, total);
@@ -217,12 +214,10 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
       LoopEffect::ProducedFact fact;
       fact.array = array_sym;
       if (w.value.is_exact()) {
-        if (auto split = sym::split_affine_in(w.value.exact_value(), index_sym);
-            split && !has_any_lambda(w.value.exact_value())) {
-          int64_t p = split->coeff;
+        if (auto p = sym::const_stride(sym::affine_in(w.value.exact_value(), index_sym))) {
           fact.step = StepFact{sym::add(sec_lo, sym::make_const(1)), sec_hi,
-                               Range::of_consts(p, p)};
-          if (p != 0) fact.injective = InjectiveFact{sec_lo, sec_hi, std::nullopt};
+                               Range::of_consts(*p, *p)};
+          if (*p != 0) fact.injective = InjectiveFact{sec_lo, sec_hi, std::nullopt};
         }
       }
       Range vals = widen(w.value);
@@ -231,16 +226,16 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
       continue;
     }
 
-    auto aff_idx = sym::split_affine_in(w.index, index_sym);
-    bool idx_clean = aff_idx && aff_idx->rest && !has_any_lambda(aff_idx->rest) &&
-                     !sym::contains_kind(aff_idx->rest, sym::ExprKind::ArrayElem);
-    if (!aff_idx || !idx_clean || aff_idx->coeff == 0) {
+    auto aff_idx = sym::affine_in(w.index, index_sym);
+    auto c_idx = sym::const_stride(aff_idx);
+    bool idx_clean = c_idx && !sym::contains_kind(aff_idx->rest, sym::ExprKind::ArrayElem);
+    if (!idx_clean || *c_idx == 0) {
       // Subscripted-subscript write a[b[i+m]] = i: inverse permutation rule.
       if (options_.enable_inverse_perm_rule && !w.conditional && trip_pos &&
           w.index->kind == sym::ExprKind::ArrayElem) {
         const sym::SymbolId b_sym = w.index->symbol;
-        auto b_aff = sym::split_affine_in(w.index->operands[0], index_sym);
-        if (b_aff && b_aff->coeff == 1 && w.value.is_exact() &&
+        auto b_aff = sym::affine_in(w.index->operands[0], index_sym);
+        if (sym::const_stride(b_aff) == 1 && w.value.is_exact() &&
             sym::equal(w.value.exact_value(), sym::make_sym(index_sym))) {
           ExprPtr read_lo = sym::add(lb, b_aff->rest);
           ExprPtr read_hi = sym::add(sym::sub(ub, sym::make_const(1)), b_aff->rest);
@@ -264,7 +259,7 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
         }
       }
       // Loop-invariant subscript a[k] = v every iteration.
-      if (aff_idx && aff_idx->coeff == 0 && idx_clean && !w.conditional && trip_pos) {
+      if (idx_clean && *c_idx == 0 && !w.conditional && trip_pos) {
         Range vals = widen(w.value);
         if (!vals.is_bottom()) {
           LoopEffect::ProducedFact fact;
@@ -276,7 +271,7 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
       continue;
     }
 
-    const int64_t c = aff_idx->coeff;
+    const int64_t c = *c_idx;
     const ExprPtr k = aff_idx->rest;
     ExprPtr pos_at_lb = sym::add(sym::mul_const(lb, c), k);
     ExprPtr pos_at_last = sym::add(sym::mul_const(sym::sub(ub, sym::make_const(1)), c), k);
@@ -327,13 +322,13 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
     if (!matched && options_.enable_affine_value_rule && !w.conditional && trip_nonneg &&
         w.value.is_exact()) {
       const ExprPtr v = w.value.exact_value();
-      auto split = sym::split_affine_in(v, index_sym);
-      if (split && !has_any_lambda(v) &&
-          !sym::contains_kind(split->rest, sym::ExprKind::ArrayElem)) {
+      auto split = sym::affine_in(v, index_sym);
+      auto p = sym::const_stride(split);
+      if (p && !sym::contains_kind(split->rest, sym::ExprKind::ArrayElem)) {
         Range vals = widen(w.value);
         if (!vals.is_bottom()) fact.value = ValueFact{sec_lo, sec_hi, vals};
-        if (split->coeff != 0) {
-          int64_t step = split->coeff * c;  // value step per +1 position
+        if (*p != 0) {
+          int64_t step = *p * c;  // value step per +1 position
           fact.step = StepFact{sym::add(sec_lo, sym::make_const(1)), sec_hi,
                                Range::of_consts(step, step)};
           fact.injective = InjectiveFact{sec_lo, sec_hi, std::nullopt};
@@ -342,28 +337,25 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
       }
     }
 
-    // Chain injectivity: a[s] = v where the recurrence chain of v over i has
-    // a provably nonzero *symbolic* stride, e.g. idx[i] = m*i + q with
-    // m >= 1. The affine-value rule above cannot see this (split_affine_in
-    // only yields integer coefficients); the chain layer carries the stride
-    // as an expression and discharges its sign through the prover.
+    // Chain injectivity: a[s] = v where v advances over i by a provably
+    // nonzero *symbolic* stride, e.g. idx[i] = m*i + q with m >= 1. The
+    // affine-value rule above needs a compile-time stride; here the stride
+    // stays an expression and the prover discharges its sign.
     if (!matched && options_.enable_chain_injectivity_rule && !w.conditional && trip_nonneg &&
         w.value.is_exact()) {
-      const ExprPtr v = w.value.exact_value();
-      sym::RecurrenceBuilder& rec = sym::ExprArena::current().recurrences();
-      const sym::RecChain* chain = rec.chain_for(v, index_sym, lb);
-      if (chain && !sym::is_const(chain->stride) &&
-          !sym::contains_kind(chain->stride, sym::ExprKind::ArrayElem)) {
+      auto aff = sym::affine_in(w.value.exact_value(), index_sym);
+      if (aff && !sym::is_const(aff->stride) &&
+          !sym::contains_kind(aff->stride, sym::ExprKind::ArrayElem)) {
         // Value step per +1 array position (subscript advances by c per
         // iteration, c is ±1 here).
-        ExprPtr pos_step = sym::mul_const(chain->stride, c);
+        ExprPtr pos_step = sym::mul_const(aff->stride, c);
         bool inc = prove_ge(pos_step, sym::make_const(1), ctx_i) == Truth::True;
         bool dec =
             !inc && prove_le(pos_step, sym::make_const(-1), ctx_i) == Truth::True;
         if (inc || dec) {
           Range vals = widen(w.value);
           if (!vals.is_bottom()) fact.value = ValueFact{sec_lo, sec_hi, vals};
-          // Injectivity is the chain's claim; deliberately no Monotonic step
+          // Injectivity is the stride's claim; deliberately no Monotonic step
           // fact here — ordering proofs stay with the paper's per-element
           // catalogue, so verdicts credit the layer that actually proved them.
           fact.injective =
@@ -377,8 +369,8 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
     if (!matched && options_.enable_copy_rule && !w.conditional && trip_nonneg &&
         w.value.is_exact() && w.value.exact_value()->kind == sym::ExprKind::ArrayElem) {
       const ExprPtr v = w.value.exact_value();
-      auto src_aff = sym::split_affine_in(v->operands[0], index_sym);
-      if (src_aff && src_aff->coeff == 1) {
+      auto src_aff = sym::affine_in(v->operands[0], index_sym);
+      if (sym::const_stride(src_aff) == 1) {
         ExprPtr src_lo = sym::add(lb, src_aff->rest);
         ExprPtr src_hi = sym::add(sym::sub(ub, sym::make_const(1)), src_aff->rest);
         if (auto src_vals = masked_facts.elem_value(v->symbol, v->operands[0], ctx_i)) {
@@ -419,30 +411,27 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
   // --- Branch-pair rules (subset-injective and disjoint-strided) -------------
   if (options_.enable_branch_rules && trip_nonneg) {
     for (const auto& pair : body.branch_pairs) {
-      auto aff_idx = sym::split_affine_in(pair.index, index_sym);
-      if (!aff_idx || (aff_idx->coeff != 1 && aff_idx->coeff != -1)) continue;
-      if (has_any_lambda(aff_idx->rest) ||
-          sym::contains_kind(aff_idx->rest, sym::ExprKind::ArrayElem)) {
-        continue;
-      }
-      const int64_t c = aff_idx->coeff;
+      auto aff_idx = sym::affine_in(pair.index, index_sym);
+      auto c_idx = sym::const_stride(aff_idx);
+      if (c_idx != 1 && c_idx != -1) continue;
+      if (sym::contains_kind(aff_idx->rest, sym::ExprKind::ArrayElem)) continue;
+      const int64_t c = *c_idx;
       ExprPtr pos_at_lb = sym::add(sym::mul_const(lb, c), aff_idx->rest);
       ExprPtr pos_at_last =
           sym::add(sym::mul_const(sym::sub(ub, sym::make_const(1)), c), aff_idx->rest);
       ExprPtr sec_lo = c > 0 ? pos_at_lb : pos_at_last;
       ExprPtr sec_hi = c > 0 ? pos_at_last : pos_at_lb;
       if (!pair.then_value || !pair.else_value) continue;
-      auto v1 = sym::split_affine_in(pair.then_value, index_sym);
-      auto v2 = sym::split_affine_in(pair.else_value, index_sym);
-      if (!v1 || !v2 || has_any_lambda(pair.then_value) || has_any_lambda(pair.else_value)) {
-        continue;
-      }
-      auto try_subset = [&](const sym::AffineSplit& moving, const sym::AffineSplit& fixed,
+      auto v1 = sym::affine_in(pair.then_value, index_sym);
+      auto v2 = sym::affine_in(pair.else_value, index_sym);
+      auto p1 = sym::const_stride(v1), p2 = sym::const_stride(v2);
+      if (!p1 || !p2) continue;
+      auto try_subset = [&](int64_t moving_stride, int64_t fixed_stride, const ExprPtr& fixed_rest,
                             const ExprPtr& moving_expr) -> bool {
         // Subset-injective: moving branch strictly monotone with values >= 0,
         // fixed branch a negative constant sentinel.
-        auto sentinel = sym::const_value(fixed.rest);
-        if (moving.coeff == 0 || fixed.coeff != 0 || !sentinel || *sentinel >= 0) return false;
+        auto sentinel = sym::const_value(fixed_rest);
+        if (moving_stride == 0 || fixed_stride != 0 || !sentinel || *sentinel >= 0) return false;
         Range values = eval_range(moving_expr, loop_env);
         if (prove_nonneg(values, base_ctx_) != Truth::True) return false;
         LoopEffect::ProducedFact fact;
@@ -451,14 +440,15 @@ LoopEffect Analyzer::aggregate(const ast::For& loop, const LoopInfo& info,
         push_fact(std::move(fact));
         return true;
       };
-      if (try_subset(*v1, *v2, pair.then_value) || try_subset(*v2, *v1, pair.else_value)) {
+      if (try_subset(*p1, *p2, v2->rest, pair.then_value) ||
+          try_subset(*p2, *p1, v1->rest, pair.else_value)) {
         continue;
       }
       // Disjoint strided expressions (paper Fig. 8): same slope p, offsets in
       // different residue classes mod p -> the two value sets never collide.
-      if (v1->coeff == v2->coeff && v1->coeff != 0) {
+      if (*p1 == *p2 && *p1 != 0) {
         auto offset_diff = sym::const_value(sym::sub(v1->rest, v2->rest));
-        if (offset_diff && (*offset_diff % v1->coeff) != 0) {
+        if (offset_diff && (*offset_diff % *p1) != 0) {
           LoopEffect::ProducedFact fact;
           fact.array = pair.array->symbol;
           fact.injective = InjectiveFact{sec_lo, sec_hi, std::nullopt};

@@ -45,7 +45,7 @@ struct StepFact {
 struct InjectiveFact {
   sym::ExprPtr lo = nullptr, hi = nullptr;
   std::optional<int64_t> min_value;  // subset injectivity threshold
-  // Derived by the recurrence-chain layer (a provably nonzero symbolic
+  // Derived by the chain-injectivity rule (a provably nonzero symbolic
   // stride); proofs discharged through such a fact report the
   // "affine-injective" enabling property instead of plain "injective".
   bool from_chain = false;
@@ -113,7 +113,7 @@ class FactDB {
   // True if an injectivity fact (possibly subset-restricted) covers [lo:hi].
   // When the covering fact is subset-restricted, `min_value_out` receives the
   // threshold; `from_chain_out` (if given) reports whether the discharging
-  // fact came from the recurrence-chain layer.
+  // fact came from the chain-injectivity rule.
   bool injective_over(sym::SymbolId array, const sym::ExprPtr& lo, const sym::ExprPtr& hi,
                       const sym::AssumptionContext& ctx,
                       std::optional<int64_t>* min_value_out = nullptr,

@@ -5,8 +5,6 @@
 
 #include "core/body_interp.h"
 #include "support/text.h"
-#include "symbolic/arena.h"
-#include "symbolic/recurrence.h"
 
 namespace sspar::core {
 
@@ -417,21 +415,15 @@ LoopVerdict Parallelizer::analyze_impl(const ast::For& loop, const Hypothesis* h
   auto range_test = [&](const Range& u) -> bool {
     if (u.is_bottom() || !u.lo_bounded() || !u.hi_bounded()) return false;
     ExprPtr lo_i = u.lo(), hi_i = u.hi();
-    // Chain fast path: when both bounds have constant-stride recurrence
-    // chains over i and the range width folds to a constant, the adjacent
+    // Affine fast path: when both bounds advance over i by a compile-time
+    // stride and the range width folds to a constant, the adjacent
     // comparisons below reduce to constant tests — the canonical affine form
     // makes both differences Const nodes, on which the prover is exact, so
     // the outcome here is definitive in both directions and the subst +
     // prover machinery is skipped entirely.
-    {
-      sym::RecurrenceBuilder& rec = sym::ExprArena::current().recurrences();
-      const sym::RecChain* clo = rec.chain_for(lo_i, index_sym, general_lb);
-      const sym::RecChain* chi = clo ? rec.chain_for(hi_i, index_sym, general_lb) : nullptr;
-      if (clo && chi) {
-        auto slo = sym::RecurrenceBuilder::const_stride(*clo);
-        auto shi = sym::RecurrenceBuilder::const_stride(*chi);
-        auto width = sym::const_value(sym::sub(hi_i, lo_i));
-        if (slo && shi && width) {
+    if (auto slo = sym::const_stride(sym::affine_in(lo_i, index_sym))) {
+      if (auto shi = sym::const_stride(sym::affine_in(hi_i, index_sym))) {
+        if (auto width = sym::const_value(sym::sub(hi_i, lo_i))) {
           // Forward: hi(i) < lo(i+1) && lo(i+1) >= lo(i); backward mirrored.
           bool forward = *width < *slo && *slo >= 0;
           bool backward = *width + *shi < 0 && *slo <= 0;
@@ -523,8 +515,10 @@ LoopVerdict Parallelizer::analyze_impl(const ast::For& loop, const Hypothesis* h
     }
     if (!s || s->kind != sym::ExprKind::ArrayElem) return false;
     const sym::SymbolId b_sym = s->symbol;
-    auto aff = sym::as_affine_in(s->operands[0], index_sym);
-    if (!aff || (aff->first != 1 && aff->first != -1)) return false;
+    // The inner subscript must be ±i + constant.
+    auto aff = sym::affine_in(s->operands[0], index_sym);
+    auto c = sym::const_stride(aff);
+    if ((c != 1 && c != -1) || !sym::is_const(aff->rest)) return false;
     // Domain of the inner subscript over the iteration space.
     sym::RangeEnv env;
     env.entries.emplace_back(index_sym, Range::of(lb, sym::sub(ub, sym::make_const(1))));
@@ -683,13 +677,12 @@ LoopVerdict Parallelizer::analyze_impl(const ast::For& loop, const Hypothesis* h
     if (used_peel) reason += " + peeled first iteration";
     verdict.reason = reason;
 
-    // Schedule hint from the access-range chains: per-iteration work is
-    // uniform (static) when every access range advances by a compile-time
-    // constant stride; it varies (dynamic) as soon as a range bound depends
-    // on index-array contents — rowstr[i]..rowstr[i+1] style inner trip
-    // counts are exactly the imbalanced case the paper's CSR kernels hit.
+    // Schedule hint from the access ranges: per-iteration work is uniform
+    // (static) when every access range advances by a compile-time constant
+    // stride; it varies (dynamic) as soon as a range bound depends on
+    // index-array contents — rowstr[i]..rowstr[i+1] style inner trip counts
+    // are exactly the imbalanced case the paper's CSR kernels hit.
     {
-      sym::RecurrenceBuilder& rec = sym::ExprArena::current().recurrences();
       bool variable_work = false;
       bool all_const_stride = !groups.empty();
       for (auto& [array, set] : groups) {
@@ -702,10 +695,8 @@ LoopVerdict Parallelizer::analyze_impl(const ast::For& loop, const Hypothesis* h
           variable_work = true;
           break;
         }
-        const sym::RecChain* clo = rec.chain_for(u.lo(), index_sym, general_lb);
-        const sym::RecChain* chi = clo ? rec.chain_for(u.hi(), index_sym, general_lb) : nullptr;
-        if (!clo || !chi || !sym::RecurrenceBuilder::const_stride(*clo) ||
-            !sym::RecurrenceBuilder::const_stride(*chi)) {
+        if (!sym::const_stride(sym::affine_in(u.lo(), index_sym)) ||
+            !sym::const_stride(sym::affine_in(u.hi(), index_sym))) {
           all_const_stride = false;
         }
       }

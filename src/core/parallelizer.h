@@ -35,8 +35,8 @@ enum class EnablingProperty {
   Monotonic,        // monotonic index array ranges (extended Range Test)
   Injective,        // injective index array subscript (Fig. 2)
   SubsetInjective,  // subset-injective with matching guard (Fig. 5)
-  AffineInjective,  // injective via a nonzero-stride recurrence chain — the
-                    // chain layer's addition beyond the paper's catalogue
+  AffineInjective,  // injective via a provably nonzero symbolic stride — an
+                    // addition beyond the paper's catalogue
 };
 
 // Stable lowercase spelling ("affine", "monotonic", "injective",
@@ -56,8 +56,7 @@ struct LoopVerdict {
   // virtually peel the first iteration (Fig. 9 / Fig. 4 idiom).
   EnablingProperty property = EnablingProperty::None;
   bool peeled = false;
-  // Human-readable restatement of `property` (+ peeling); prefix matches
-  // property_name(property) so legacy string consumers keep working.
+  // Human-readable restatement of `property` (+ peeling).
   std::string reason;
   // Interprocedural provenance: names of the functions whose summaries
   // produced the index-array facts this proof consumed ("property proven via
@@ -67,7 +66,7 @@ struct LoopVerdict {
   std::vector<std::string> blockers;
   // Scalars to privatize in the OpenMP clause (declared outside the loop).
   std::vector<const ast::VarDecl*> privates;
-  // Emitter guidance read off the access-range recurrence chains (parallel
+  // Emitter guidance read off the access ranges' strides (parallel
   // verdicts only): Static when every access range advances by a
   // compile-time-constant stride (uniform, coalesced per-iteration work),
   // Dynamic when access ranges depend on index-array contents (variable

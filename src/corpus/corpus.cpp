@@ -591,7 +591,7 @@ void f(void) {
       3, 2, 1, 1, true});
 
   // Symbolic-stride fill: idx[i] = m*i + 2 with m >= 1 is injective, but the
-  // stride is not an integer constant, so only the recurrence-chain layer's
+  // stride is not an integer constant, so only the chain-injectivity rule's
   // affine-injectivity proof (not the affine-value rule) parallelizes the
   // scatter loop. Statically parallel — no runtime check needed.
   corpus.push_back(Entry{

@@ -102,18 +102,6 @@ bool BatchStats::operator==(const BatchStats& other) const {
          property_counts == other.property_counts;
 }
 
-std::string property_key(const core::LoopVerdict& verdict) {
-  if (verdict.property != core::EnablingProperty::None) {
-    return core::property_name(verdict.property);
-  }
-  return property_key(verdict.reason);
-}
-
-std::string property_key(const std::string& reason) {
-  size_t end = reason.find_first_of(" (:");
-  return end == std::string::npos ? reason : reason.substr(0, end);
-}
-
 BatchAnalyzer::BatchAnalyzer(BatchOptions options)
     : options_(options), threads_(clamp_threads(options.threads)) {}
 
@@ -202,7 +190,7 @@ BatchStats BatchAnalyzer::aggregate(const std::vector<ProgramReport>& programs) 
     stats.store_misses += static_cast<int>(p.summary_cache.store_misses());
     for (const auto& v : p.result.verdicts) {
       if (v.parallel && v.uses_subscripted_subscripts) {
-        ++stats.property_counts[property_key(v)];
+        ++stats.property_counts[core::property_name(v.property)];
       }
     }
   }

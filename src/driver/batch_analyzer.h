@@ -31,7 +31,7 @@
 namespace sspar::driver {
 
 // One program to analyze. `assumptions` declares lower bounds for global
-// symbols (problem sizes known to be positive), as in transform::translate_source.
+// symbols (problem sizes known to be positive), as in pipeline::Session.
 struct ProgramInput {
   std::string name;
   std::string source;
@@ -195,12 +195,5 @@ class BatchAnalyzer {
   BatchOptions options_;
   unsigned threads_;
 };
-
-// Histogram key for a parallel verdict: core::property_name(property), with
-// the legacy string-prefix fallback for verdicts that predate the enum.
-std::string property_key(const core::LoopVerdict& verdict);
-// Legacy string-prefix form ("monotonic non-decreasing bounds" ->
-// "monotonic"); kept for callers that only have a reason string.
-std::string property_key(const std::string& reason);
 
 }  // namespace sspar::driver

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <unordered_map>
 
 namespace sspar::ast {
@@ -143,13 +147,27 @@ Token Lexer::lex_number() {
       while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
     }
   }
-  std::string digits(source_.substr(start, pos_ - start));
+  // A literal that does not fit is reported and lexed as 0, so the parse
+  // goes on and the file fails with a located diagnostic.
+  const std::string digits(source_.substr(start, pos_ - start));
+  bool in_range = true;
   if (is_float) {
     tok.kind = TokenKind::FloatLiteral;
-    tok.float_value = std::stod(digits);
+    errno = 0;
+    tok.float_value = std::strtod(digits.c_str(), nullptr);
+    // Underflow rounds toward zero like C; only overflow is an error.
+    in_range = !(errno == ERANGE && std::isinf(tok.float_value));
+    if (!in_range) tok.float_value = 0;
   } else {
     tok.kind = TokenKind::IntLiteral;
-    tok.int_value = std::stoll(digits);
+    // from_chars leaves the value at 0 when it does not fit.
+    in_range = std::from_chars(digits.data(), digits.data() + digits.size(), tok.int_value).ec ==
+               std::errc();
+  }
+  if (!in_range) {
+    diags_.error(support::DiagCode::LexLiteralOutOfRange, tok.location,
+                 (is_float ? "floating literal '" : "integer literal '") + digits +
+                     (is_float ? "' is too large for double" : "' is too large for int64"));
   }
   return tok;
 }

@@ -1,11 +1,10 @@
 // One encoding for "symbol NAME has (at least) value V" shared by every
 // pipeline entry point.
 //
-// Three consumers used to carry their own parallel {name, value} vectors:
-// driver::ProgramInput::assumptions, transform::translate_source's
-// assumptions parameter, and the corpus' per-entry parameter seeding. They
-// all flow through this type now: the analyzer reads it as lower bounds
-// (assume_ge), the interpreter reads it as concrete scalar inputs.
+// Its consumers — driver::ProgramInput::assumptions, pipeline::Session's
+// constructor and the corpus' per-entry parameter seeding — all take this
+// type: the analyzer reads it as lower bounds (assume_ge), the interpreter
+// reads it as concrete scalar inputs.
 #pragma once
 
 #include <cstdint>

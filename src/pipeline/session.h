@@ -30,9 +30,6 @@
 // support::Diagnostic records (stable code + source location), not strings.
 // A failed parse makes every downstream stage return null/empty; the
 // session stays usable (e.g. for diagnostics inspection).
-//
-// The legacy one-shot transform::translate_source() is a thin wrapper over
-// this class.
 #pragma once
 
 #include <memory>
@@ -139,8 +136,8 @@ class Session {
 
   const SessionStats& stats() const { return stats_; }
 
-  // Moves AST + symbol-table ownership out (used by the translate_source()
-  // compatibility wrapper, whose result type owns the parse). Verdicts
+  // Moves AST + symbol-table ownership out (used by callers whose result
+  // type owns the parse, e.g. corpus::analyze_entry). Verdicts
   // copied out earlier stay valid — they point into the moved-out Program,
   // whose nodes do not relocate. The session resets to its unparsed state:
   // every derived cache (analysis, verdicts, annotations) is dropped, and a

@@ -17,12 +17,6 @@
 // core::EnablingProperty enum. pipeline::Assumptions is the one encoding for
 // "symbol >= bound" (analyzer) / "symbol = value" (interpreter) inputs.
 //
-// One-shot convenience (compatibility wrapper over Session):
-//
-//   auto result = sspar::transform::translate_source(source, {}, {{"N", 1}});
-//   // result.verdicts  — per-loop analysis (parallel? enabling property?)
-//   // result.output    — OpenMP-annotated source
-//
 // Batch mode: driver::BatchAnalyzer runs sessions over many programs
 // concurrently (deterministic input-ordered aggregation, optional streaming
 // per-report callback) and driver/json_report.h renders verdicts, facts, and

@@ -29,6 +29,7 @@ enum class DiagCode {
   // Lexer.
   LexUnterminatedComment = 101,  // E0101
   LexUnexpectedChar = 102,       // E0102
+  LexLiteralOutOfRange = 103,    // E0103: int literal beyond int64, float beyond double
 
   // Parser.
   ParseExpectedToken = 201,  // E0201: expect() mismatch

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <new>
 
-#include "symbolic/recurrence.h"
-
 namespace sspar::sym {
 
 namespace {
@@ -59,11 +57,6 @@ ExprArena::ExprArena() {
 
 ExprArena::~ExprArena() {
   for (const Expr* e : nodes_) const_cast<Expr*>(e)->~Expr();
-}
-
-RecurrenceBuilder& ExprArena::recurrences() {
-  if (!recurrences_) recurrences_ = std::make_unique<RecurrenceBuilder>();
-  return *recurrences_;
 }
 
 ExprArena& ExprArena::current() {

@@ -38,8 +38,6 @@
 
 namespace sspar::sym {
 
-class RecurrenceBuilder;
-
 class ExprArena {
  public:
   ExprArena();
@@ -81,12 +79,6 @@ class ExprArena {
 
   // True if `e` was interned by this arena (O(1); used by tests/asserts).
   bool owns(const ExprPtr& e) const;
-
-  // --- Recurrence chains (symbolic/recurrence.h) ----------------------------
-  // The arena's chains-of-recurrences builder, created on first use. Chains
-  // hold ExprPtrs into this arena, so anchoring the builder here aligns the
-  // two lifetimes; per-(expr, loop) chain memoization lives in the builder.
-  RecurrenceBuilder& recurrences();
 
   // --- Introspection ---------------------------------------------------------
 
@@ -132,8 +124,6 @@ class ExprArena {
     size_t operator()(const SubstKey& k) const;
   };
   std::unordered_map<SubstKey, const Expr*, SubstKeyHash> subst_memo_;
-
-  std::unique_ptr<RecurrenceBuilder> recurrences_;
 
   const Expr* bottom_ = nullptr;
 };

@@ -345,45 +345,45 @@ ExprPtr from_linear(const LinearForm& lf) {
   return acc.build();
 }
 
-std::optional<std::pair<int64_t, int64_t>> as_affine_in(const ExprPtr& e, SymbolId id) {
+std::optional<Affine> affine_in(const ExprPtr& e, SymbolId index) {
+  if (!e || is_bottom(e) || contains_kind(e, ExprKind::IterStart)) return std::nullopt;
+  if (!contains_sym(e, index)) return Affine{make_const(0), e};
   LinearForm lf = to_linear(e);
-  if (lf.bottom) return std::nullopt;
-  int64_t c1 = 0;
-  for (const auto& [atom, coeff] : lf.terms) {
-    if (atom->kind == ExprKind::Sym && atom->symbol == id) {
-      c1 = coeff;
-    } else if (contains_sym(atom, id)) {
-      return std::nullopt;  // id occurs non-linearly (inside Mul/Div/ArrayElem...)
-    }
-  }
-  // All remaining terms must be free of `id` (checked above); fold them into
-  // the "constant" only when there are none, otherwise this is not affine
-  // with integer constant parts.
-  for (const auto& [atom, coeff] : lf.terms) {
-    (void)coeff;
-    if (atom->kind == ExprKind::Sym && atom->symbol == id) continue;
-    return std::nullopt;
-  }
-  return std::make_pair(c1, lf.constant);
-}
-
-std::optional<AffineSplit> split_affine_in(const ExprPtr& e, SymbolId id) {
-  LinearForm lf = to_linear(e);
-  if (lf.bottom) return std::nullopt;
-  AffineSplit split;
+  int64_t direct = 0;           // coefficient of the bare index
+  ExprPtr symbolic = nullptr;   // Σ coeff * (other factors) over m * i atoms
   LinearForm rest;
   rest.constant = lf.constant;
   for (const auto& [atom, coeff] : lf.terms) {
-    if (atom->kind == ExprKind::Sym && atom->symbol == id) {
-      split.coeff = coeff;
-    } else if (contains_sym(atom, id)) {
-      return std::nullopt;  // id occurs non-linearly
-    } else {
-      rest.terms.emplace_back(atom, coeff);
+    if (atom->kind == ExprKind::Sym && atom->symbol == index) {
+      direct += coeff;
+      continue;
     }
+    if (!contains_sym(atom, index)) {
+      rest.terms.emplace_back(atom, coeff);
+      continue;
+    }
+    // The only other index-carrying atom with a linear closed form is a
+    // product with the index as a direct factor exactly once and every other
+    // factor index-free.
+    if (atom->kind != ExprKind::Mul) return std::nullopt;
+    ExprPtr others = make_const(1);
+    int index_factors = 0;
+    for (const ExprPtr& factor : atom->operands) {
+      if (factor->kind == ExprKind::Sym && factor->symbol == index) {
+        ++index_factors;
+      } else if (contains_sym(factor, index)) {
+        return std::nullopt;
+      } else {
+        others = mul(others, factor);
+      }
+    }
+    if (index_factors != 1) return std::nullopt;
+    ExprPtr term = mul_const(others, coeff);
+    symbolic = symbolic ? add(symbolic, term) : term;
   }
-  split.rest = from_linear(rest);
-  return split;
+  ExprPtr stride = make_const(direct);
+  if (symbolic) stride = add(symbolic, stride);
+  return Affine{stride, from_linear(rest)};
 }
 
 ExprPtr rewrite(const ExprPtr& e, const RewriteFn& fn) {

@@ -166,16 +166,30 @@ struct LinearForm {
 LinearForm to_linear(const ExprPtr& e);
 ExprPtr from_linear(const LinearForm& lf);
 
-// If e == c1 * sym(id) + c0, returns (c1, c0).
-std::optional<std::pair<int64_t, int64_t>> as_affine_in(const ExprPtr& e, SymbolId id);
-
-// General split: e == coeff * sym(id) + rest, where rest does not mention
-// sym(id) at all (also not inside non-linear atoms). Returns (coeff, rest).
-struct AffineSplit {
-  int64_t coeff = 0;
+// --- Affine view ------------------------------------------------------------
+// e == stride * sym(index) + rest, where neither part mentions the index.
+// This is the one question the range aggregation and the dependence tests ask
+// of a subscript or a fill value: the stride gives the direction
+// (monotonicity), |stride| == 1 gives consecutiveness, and a provably nonzero
+// stride gives injectivity of the filled section. The stride may be symbolic:
+// a product with the index as a direct factor exactly once (m * i) adds its
+// other factors to it, so callers that need a compile-time step read
+// const_value(stride).
+//
+// Fails (nullopt) on ⊥, on any λ (IterStart) marker — λ values change per
+// iteration independently of the index, so no closed form over it exists —
+// and when the index appears under Div/Mod/Min/Max, inside an array
+// subscript, or more than linearly in a product. An expression that does not
+// mention the index answers {0, e} in O(1) through the subtree bloom.
+struct Affine {
+  ExprPtr stride = nullptr;
   ExprPtr rest = nullptr;
 };
-std::optional<AffineSplit> split_affine_in(const ExprPtr& e, SymbolId id);
+std::optional<Affine> affine_in(const ExprPtr& e, SymbolId index);
+// The stride of an affine view when it folds to a compile-time constant.
+inline std::optional<int64_t> const_stride(const std::optional<Affine>& a) {
+  return a ? const_value(a->stride) : std::nullopt;
+}
 
 // --- Rewriting --------------------------------------------------------------
 // Top-down rewrite: `fn` may replace a node before its children are visited;

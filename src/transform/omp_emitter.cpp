@@ -6,7 +6,6 @@
 
 #include "frontend/printer.h"
 #include "frontend/sema.h"
-#include "pipeline/session.h"
 #include "support/diagnostics.h"
 #include "support/text.h"
 
@@ -150,25 +149,6 @@ void clear_annotations(ast::FuncDecl& function) {
     loop->hybrid_check.clear();
     loop->hybrid_pragma.clear();
   }
-}
-
-TranslateResult translate_source(std::string_view source, const core::AnalyzerOptions& options,
-                                 const pipeline::Assumptions& assumptions) {
-  pipeline::Session session(std::string(source), assumptions);
-  TranslateResult result;
-  if (session.parse()) {
-    session.analyze(options);
-    if (const auto* verdicts = session.parallelize()) result.verdicts = *verdicts;
-    result.parallelized = session.annotate();
-    result.output = session.emit().output;
-    result.ok = true;
-  }
-  result.diagnostics = session.diagnostics().dump();
-  result.diags = session.diagnostics().diagnostics();
-  // Transfers AST + symbol ownership into the result; verdicts keep pointing
-  // at the same nodes.
-  result.parsed = session.take_parse();
-  return result;
 }
 
 }  // namespace sspar::transform

@@ -9,7 +9,6 @@
 #include "core/parallelizer.h"
 #include "frontend/ast.h"
 #include "frontend/sema.h"
-#include "pipeline/assumptions.h"
 #include "support/diagnostics.h"
 
 namespace sspar::transform {
@@ -31,9 +30,8 @@ int annotate_parallel_loops(ast::FuncDecl& function,
 void clear_annotations(ast::Program& program);
 void clear_annotations(ast::FuncDecl& function);
 
-// Convenience one-shot: parse -> analyze -> parallelize -> annotate -> print.
-// Compatibility wrapper over pipeline::Session — prefer the Session API for
-// anything that re-runs stages (ablation loops, batch analysis).
+// One program's parse -> analyze -> parallelize -> annotate -> print output,
+// as driver::ProgramReport carries it (pipeline::Session produces each part).
 struct TranslateResult {
   bool ok = false;
   std::string output;                          // transformed source
@@ -46,10 +44,5 @@ struct TranslateResult {
   // The same diagnostics as structured records (stable code + location).
   std::vector<support::Diagnostic> diags;
 };
-// `assumptions` declares lower bounds for global symbols (e.g. problem sizes
-// known to be positive), mirroring the paper's implicit n >= 1 assumptions.
-TranslateResult translate_source(std::string_view source,
-                                 const core::AnalyzerOptions& options = {},
-                                 const pipeline::Assumptions& assumptions = {});
 
 }  // namespace sspar::transform

@@ -140,6 +140,32 @@ TEST(Phase2, IdentityFill) {
                                     ctx));
 }
 
+TEST(Phase2, GatheredLambdaValueGetsNoStepFact) {
+  // idx[k++] = y with y decremented every iteration: the value is λ(y) - 1,
+  // which changes per iteration without being affine in i, so no step fact
+  // (and certainly no constant one) may describe idx.
+  auto a = analyze(R"(
+    int n;
+    int k;
+    int y;
+    int idx[100];
+    void fill() {
+      k = 0;
+      y = 0;
+      for (int i = 0; i < n; i++) {
+        y = y - 1;
+        idx[k++] = y;
+      }
+    }
+  )", {{"n", 2}});
+  const FactDB* facts = a.end_facts("fill");
+  sym::AssumptionContext ctx;
+  ctx.assume_ge(a.sym_of("n"), 2);
+  EXPECT_FALSE(
+      facts->elem_diff(a.sym_of("idx"), sym::make_const(1), sym::make_const(0), ctx).has_value())
+      << facts->to_string(a.syms());
+}
+
 TEST(Phase2, StrictAffineFillIsInjective) {
   auto a = analyze(R"(
     int n;

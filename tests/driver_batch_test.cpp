@@ -174,11 +174,5 @@ TEST(BatchAnalyzer, FailedProgramsCarryStructuredDiagnostics) {
   EXPECT_TRUE(p.result.diags[0].location.valid());
 }
 
-TEST(BatchAnalyzer, PropertyKeyStripsDetail) {
-  EXPECT_EQ(property_key("monotonic non-decreasing bounds"), "monotonic");
-  EXPECT_EQ(property_key("subset-injective (guarded)"), "subset-injective");
-  EXPECT_EQ(property_key("affine"), "affine");
-}
-
 }  // namespace
 }  // namespace sspar::driver

@@ -73,6 +73,50 @@ TEST(Lexer, ReportsUnexpectedCharacter) {
   EXPECT_TRUE(diags.has_errors());
 }
 
+TEST(Lexer, IntegerLiteralBeyondInt64IsALocatedErrorAndLexingGoesOn) {
+  DiagnosticEngine diags;
+  auto toks = Lexer::tokenize("x = 9223372036854775807;\ny = 99999999999999999999; z", diags);
+  ASSERT_EQ(diags.error_count(), 1u) << diags.dump();
+  const support::Diagnostic& d = diags.diagnostics()[0];
+  EXPECT_EQ(d.code, support::DiagCode::LexLiteralOutOfRange);
+  EXPECT_EQ(support::diag_code_name(d.code), "E0103");
+  EXPECT_EQ(d.location.line, 2u);
+  EXPECT_EQ(d.location.column, 5u);
+  EXPECT_NE(d.message.find("99999999999999999999"), std::string::npos);
+  ASSERT_EQ(toks.size(), 10u);  // x = N ; y = N ; z End
+  EXPECT_EQ(toks[2].int_value, INT64_MAX);
+  EXPECT_EQ(toks[6].kind, TokenKind::IntLiteral);
+  EXPECT_EQ(toks[6].int_value, 0);
+  EXPECT_EQ(toks[8].text, "z");
+}
+
+TEST(Lexer, FloatLiteralBeyondDoubleIsALocatedErrorAndLexingGoesOn) {
+  DiagnosticEngine diags;
+  auto toks = Lexer::tokenize("a = 1e-999; b = 1e999; c", diags);
+  ASSERT_EQ(diags.error_count(), 1u) << diags.dump();
+  const support::Diagnostic& d = diags.diagnostics()[0];
+  EXPECT_EQ(d.code, support::DiagCode::LexLiteralOutOfRange);
+  EXPECT_EQ(d.location.line, 1u);
+  EXPECT_EQ(d.location.column, 17u);
+  ASSERT_EQ(toks.size(), 10u);
+  EXPECT_EQ(toks[2].float_value, 0.0);  // underflow rounds to zero, like C
+  EXPECT_EQ(toks[6].kind, TokenKind::FloatLiteral);
+  EXPECT_EQ(toks[6].float_value, 0.0);
+  EXPECT_EQ(toks[8].text, "c");
+}
+
+TEST(Parser, OutOfRangeLiteralFailsTheParseWithoutThrowing) {
+  for (const char* literal : {"99999999999999999999", "1e999"}) {
+    DiagnosticEngine diags;
+    std::string source = std::string("int a[10];\nvoid f() {\n  a[1] = ") + literal + ";\n}\n";
+    ParseResult result = parse_and_resolve(source, diags);
+    EXPECT_FALSE(result.ok) << literal;
+    ASSERT_EQ(diags.error_count(), 1u) << diags.dump();
+    EXPECT_EQ(diags.diagnostics()[0].to_string().rfind("3:10: error: ", 0), 0u)
+        << diags.diagnostics()[0].to_string();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Parser structure
 // ---------------------------------------------------------------------------

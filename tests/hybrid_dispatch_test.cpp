@@ -11,6 +11,7 @@
 #include "core/parallelizer.h"
 #include "frontend/sema.h"
 #include "interp/interpreter.h"
+#include "pipeline/session.h"
 #include "support/diagnostics.h"
 #include "support/text.h"
 #include "transform/omp_emitter.h"
@@ -66,10 +67,11 @@ constexpr const char* kCsrSource = R"(
   )";
 
 TEST(HybridDispatch, PermutationScatterBecomesInjectiveHybrid) {
-  auto result = translate_source(kPermSource);
-  ASSERT_TRUE(result.ok) << result.diagnostics;
-  ASSERT_EQ(result.verdicts.size(), 1u);
-  const core::LoopVerdict& v = result.verdicts[0];
+  pipeline::Session session(kPermSource);
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  const std::vector<core::LoopVerdict>& verdicts = *session.parallelize();
+  ASSERT_EQ(verdicts.size(), 1u);
+  const core::LoopVerdict& v = verdicts[0];
   EXPECT_FALSE(v.parallel);
   ASSERT_TRUE(v.hybrid) << support::join(v.blockers, "; ");
   EXPECT_EQ(v.hybrid_property, core::EnablingProperty::Injective);
@@ -79,10 +81,11 @@ TEST(HybridDispatch, PermutationScatterBecomesInjectiveHybrid) {
 }
 
 TEST(HybridDispatch, GuardedScatterBecomesSubsetInjectiveHybrid) {
-  auto result = translate_source(kScatterSource);
-  ASSERT_TRUE(result.ok) << result.diagnostics;
-  ASSERT_EQ(result.verdicts.size(), 1u);
-  const core::LoopVerdict& v = result.verdicts[0];
+  pipeline::Session session(kScatterSource);
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  const std::vector<core::LoopVerdict>& verdicts = *session.parallelize();
+  ASSERT_EQ(verdicts.size(), 1u);
+  const core::LoopVerdict& v = verdicts[0];
   EXPECT_FALSE(v.parallel);
   ASSERT_TRUE(v.hybrid) << support::join(v.blockers, "; ");
   EXPECT_EQ(v.hybrid_property, core::EnablingProperty::SubsetInjective);
@@ -93,10 +96,11 @@ TEST(HybridDispatch, GuardedScatterBecomesSubsetInjectiveHybrid) {
 TEST(HybridDispatch, DataDependentCsrBecomesMonotonicHybrid) {
   // rowptr is built from an input count array, so its Monotonic property is
   // out of static reach; the product loop becomes a Monotonic hybrid.
-  auto result = translate_source(kCsrSource);
-  ASSERT_TRUE(result.ok) << result.diagnostics;
+  pipeline::Session session(kCsrSource);
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  const std::vector<core::LoopVerdict>& verdicts = *session.parallelize();
   const core::LoopVerdict* outer = nullptr;
-  for (const auto& v : result.verdicts) {
+  for (const auto& v : verdicts) {
     if (v.hybrid) {
       ASSERT_EQ(outer, nullptr) << "expected exactly one hybrid verdict";
       outer = &v;
@@ -113,7 +117,7 @@ TEST(HybridDispatch, DataDependentCsrBecomesMonotonicHybrid) {
 TEST(HybridDispatch, TrueDependenceIsNotAHybridCandidate) {
   // a[i] = a[i-1] + 1 has a real loop-carried dependence; no index-array
   // property can unlock it, so no hybrid candidacy.
-  auto result = translate_source(R"(
+  pipeline::Session session(R"(
     int n;
     int idx[100];
     int a[100];
@@ -123,47 +127,54 @@ TEST(HybridDispatch, TrueDependenceIsNotAHybridCandidate) {
       }
     }
   )");
-  ASSERT_TRUE(result.ok) << result.diagnostics;
-  for (const auto& v : result.verdicts) {
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  const std::vector<core::LoopVerdict>& verdicts = *session.parallelize();
+  for (const auto& v : verdicts) {
     EXPECT_FALSE(v.parallel);
     EXPECT_FALSE(v.hybrid) << "loop " << v.loop_id;
   }
 }
 
 TEST(HybridDispatch, EmitsGuardedDualVersionLoop) {
-  auto result = translate_source(kPermSource);
-  ASSERT_TRUE(result.ok) << result.diagnostics;
-  EXPECT_EQ(result.parallelized, 0);  // hybrid is not a static parallelization
-  EXPECT_TRUE(support::contains(result.output, "if (sspar_check_injective(perm, 0, n - 1)) {"))
-      << result.output;
-  EXPECT_TRUE(support::contains(result.output, "#pragma omp parallel for")) << result.output;
-  EXPECT_TRUE(support::contains(result.output, "} else {")) << result.output;
-  EXPECT_TRUE(support::contains(result.output,
+  pipeline::Session session(kPermSource);
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  const int annotated = session.annotate();
+  const std::string output = session.emit().output;
+  EXPECT_EQ(annotated, 0);  // hybrid is not a static parallelization
+  EXPECT_TRUE(support::contains(output, "if (sspar_check_injective(perm, 0, n - 1)) {"))
+      << output;
+  EXPECT_TRUE(support::contains(output, "#pragma omp parallel for")) << output;
+  EXPECT_TRUE(support::contains(output, "} else {")) << output;
+  EXPECT_TRUE(support::contains(output,
                                 "// sspar: hybrid — injective of 'perm' verified at runtime"))
-      << result.output;
+      << output;
   // The loop body appears twice: once parallel, once serial.
   size_t count = 0;
-  for (size_t pos = 0; (pos = result.output.find("inv[perm[i]] = i;", pos)) != std::string::npos;
+  for (size_t pos = 0; (pos = output.find("inv[perm[i]] = i;", pos)) != std::string::npos;
        ++pos) {
     ++count;
   }
-  EXPECT_EQ(count, 2u) << result.output;
+  EXPECT_EQ(count, 2u) << output;
   // The transformed source must still parse.
   support::DiagnosticEngine diags;
-  auto reparsed = ast::parse_and_resolve(result.output, diags);
-  EXPECT_TRUE(reparsed.ok) << diags.dump() << result.output;
+  auto reparsed = ast::parse_and_resolve(output, diags);
+  EXPECT_TRUE(reparsed.ok) << diags.dump() << output;
 }
 
 TEST(HybridDispatch, MonotonicAndSubsetChecksUseTheMatchingInspector) {
-  auto csr = translate_source(kCsrSource);
-  ASSERT_TRUE(csr.ok);
-  EXPECT_TRUE(support::contains(csr.output, "if (sspar_check_nondecreasing(rowptr, 0, n)) {"))
-      << csr.output;
-  auto scatter = translate_source(kScatterSource);
-  ASSERT_TRUE(scatter.ok);
-  EXPECT_TRUE(support::contains(scatter.output,
+  pipeline::Session csr(kCsrSource);
+  ASSERT_TRUE(csr.parse()) << csr.diagnostics().dump();
+  csr.annotate();
+  const std::string csr_output = csr.emit().output;
+  EXPECT_TRUE(support::contains(csr_output, "if (sspar_check_nondecreasing(rowptr, 0, n)) {"))
+      << csr_output;
+  pipeline::Session scatter(kScatterSource);
+  ASSERT_TRUE(scatter.parse()) << scatter.diagnostics().dump();
+  scatter.annotate();
+  const std::string scatter_output = scatter.emit().output;
+  EXPECT_TRUE(support::contains(scatter_output,
                                 "if (sspar_check_subset_injective(match, 0, n - 1, 0)) {"))
-      << scatter.output;
+      << scatter_output;
 }
 
 // ---- Differential execution of the dual-version semantics -------------------
@@ -204,17 +215,19 @@ using Seeder = std::function<void(interp::Interpreter&)>;
 // back to the serial version, still matching the original.
 void check_dual_version_semantics(const char* source, const Seeder& seed_satisfying,
                                   const Seeder& seed_violating) {
-  auto result = translate_source(source);
-  ASSERT_TRUE(result.ok) << result.diagnostics;
+  pipeline::Session session(source);
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  session.annotate();
+  const std::string output = session.emit().output;
   support::DiagnosticEngine diags;
-  auto reparsed = ast::parse_and_resolve(result.output, diags);
-  ASSERT_TRUE(reparsed.ok) << diags.dump() << result.output;
+  auto reparsed = ast::parse_and_resolve(output, diags);
+  ASSERT_TRUE(reparsed.ok) << diags.dump() << output;
   DualVersion dual = find_dual_version(*reparsed.program);
-  ASSERT_NE(dual.guarded, nullptr) << result.output;
-  ASSERT_NE(dual.serial, nullptr) << result.output;
+  ASSERT_NE(dual.guarded, nullptr) << output;
+  ASSERT_NE(dual.serial, nullptr) << output;
 
   auto reference_state = [&](const Seeder& seed) {
-    interp::Interpreter original(*result.parsed.program);
+    interp::Interpreter original(*session.program());
     seed(original);
     original.run("f");
     return original.snapshot();

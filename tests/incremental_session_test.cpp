@@ -18,7 +18,7 @@
 #include "store/summary_store.h"
 #include "support/faultpoint.h"
 #include "support/json.h"
-#include "transform/omp_emitter.h"
+#include "pipeline/session.h"
 
 namespace sspar::server {
 namespace {
@@ -267,12 +267,12 @@ TEST(IncrementalSession, UpdateOutputMatchesOneShotTranslation) {
   ASSERT_TRUE(update.has_value());
   ASSERT_TRUE(update->find("ok")->as_bool());
 
-  transform::TranslateResult oneshot =
-      transform::translate_source(edited_base(), {}, {{"n", 1}});
-  ASSERT_TRUE(oneshot.ok) << oneshot.diagnostics;
-  EXPECT_EQ(update->find("update")->find("output")->as_string(), oneshot.output)
+  pipeline::Session oneshot(edited_base(), {{"n", 1}});
+  ASSERT_TRUE(oneshot.parse()) << oneshot.diagnostics().dump();
+  const int annotated = oneshot.annotate();
+  EXPECT_EQ(update->find("update")->find("output")->as_string(), oneshot.emit().output)
       << "session update must emit byte-identical transformed source";
-  EXPECT_EQ(update->find("update")->int_or("annotated", -1), oneshot.parallelized);
+  EXPECT_EQ(update->find("update")->int_or("annotated", -1), annotated);
 }
 
 TEST(IncrementalSession, StatsReportTheIncrementalObject) {

@@ -330,6 +330,53 @@ void driver(void) {
   EXPECT_NE(engine.program(), nullptr);
 }
 
+TEST(IncrementalEngine, OutOfRangeLiteralIsAnOrdinaryParseError) {
+  const pipeline::Assumptions assume = {{"n", 1}};
+  const std::string base = R"(int n;
+int a[100];
+void fill(void) {
+  for (int i = 0; i < n; i++) {
+    a[i] = i;
+  }
+}
+void other(void) {
+  for (int i = 0; i < n; i++) {
+    a[i] = 2 * i;
+  }
+}
+void driver(void) {
+  fill();
+}
+)";
+  EngineOptions options;
+  options.assumptions = assume;
+  IncrementalEngine engine(options);
+  ASSERT_TRUE(engine.update(base).ok);
+  const ast::Program* good = engine.program();
+  const std::string good_text = ast::print_program(*good);
+
+  for (const char* literal : {"99999999999999999999", "1e999"}) {
+    std::string bad_source = base;
+    bad_source.replace(bad_source.find("a[i] = i;"), 9, std::string("a[i] = ") + literal + ";");
+    UpdateResult bad = engine.update(bad_source);
+    EXPECT_FALSE(bad.ok) << literal;
+    ASSERT_EQ(bad.diagnostics.size(), 1u) << bad.error;
+    EXPECT_EQ(bad.diagnostics[0].code, support::DiagCode::LexLiteralOutOfRange);
+    EXPECT_EQ(bad.diagnostics[0].location.line, 5u);
+    EXPECT_EQ(engine.program(), good);
+    EXPECT_EQ(ast::print_program(*engine.program()), good_text);
+  }
+
+  // The session stayed incremental: no exception dropped its reuse state, so
+  // `other` keeps its verdict.
+  std::string edited = base;
+  edited.replace(edited.find("a[i] = i;"), 9, "a[i] = i + 2;");
+  UpdateResult r = engine.update(edited);
+  expect_matches_cold(r, edited, assume, "update after an out-of-range literal");
+  EXPECT_EQ(r.stats.dirty, 2) << "fill + driver, not other";
+  EXPECT_EQ(r.stats.reused_verdicts, 1);
+}
+
 // --------------------------------------------------------------------------
 // Edge cases from the dirty-cone design
 // --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "symbolic/expr.h"
 
 namespace sspar::sym {
@@ -111,22 +113,127 @@ TEST_F(ExprTest, LinearFormRoundTrip) {
   EXPECT_TRUE(equal(from_linear(lf), e));
 }
 
-TEST_F(ExprTest, AsAffineIn) {
-  auto aff = as_affine_in(add(mul_const(I(), 7), make_const(5)), i);
+TEST_F(ExprTest, AffineInSplitsStrideAndRest) {
+  auto aff = affine_in(add(mul_const(I(), 7), make_const(5)), i);
   ASSERT_TRUE(aff.has_value());
-  EXPECT_EQ(aff->first, 7);
-  EXPECT_EQ(aff->second, 5);
+  EXPECT_EQ(const_value(aff->stride), std::optional<int64_t>(7));
+  EXPECT_EQ(const_value(aff->rest), std::optional<int64_t>(5));
 
-  EXPECT_FALSE(as_affine_in(mul(I(), I()), i).has_value());
-  EXPECT_FALSE(as_affine_in(add(I(), N()), i).has_value());     // extra symbol term
-  EXPECT_FALSE(as_affine_in(make_array_elem(a, I()), i).has_value());
+  // Index-free terms go to the rest, whatever their shape.
+  auto with_n = affine_in(add(I(), mul(N(), make_array_elem(a, N()))), i);
+  ASSERT_TRUE(with_n.has_value());
+  EXPECT_EQ(str(with_n->stride), "1");
+  EXPECT_EQ(str(with_n->rest), str(mul(N(), make_array_elem(a, N()))));
+
+  // A product with the index as a direct factor gives a symbolic stride.
+  auto scaled = affine_in(add(add(mul_const(mul(N(), I()), 3), I()), make_const(2)), i);
+  ASSERT_TRUE(scaled.has_value());
+  EXPECT_TRUE(equal(scaled->stride, add(mul_const(N(), 3), make_const(1))));
+  EXPECT_EQ(const_stride(scaled), std::nullopt);
+  EXPECT_EQ(const_value(scaled->rest), std::optional<int64_t>(2));
 }
 
-TEST_F(ExprTest, AsAffineInConstant) {
-  auto aff = as_affine_in(make_const(4), i);
+TEST_F(ExprTest, AffineInOfAnIndexFreeExpressionIsTheExpression) {
+  ExprPtr e = add(mul(N(), make_array_elem(a, N())), make_const(4));
+  auto aff = affine_in(e, i);
   ASSERT_TRUE(aff.has_value());
-  EXPECT_EQ(aff->first, 0);
-  EXPECT_EQ(aff->second, 4);
+  EXPECT_EQ(aff->stride, make_const(0));
+  EXPECT_EQ(aff->rest, e);  // pointer-equal: no rebuild
+  EXPECT_EQ(const_stride(affine_in(make_const(4), i)), std::optional<int64_t>(0));
+}
+
+TEST_F(ExprTest, AffineInRejectsBottomLambdaAndNonlinearIndex) {
+  EXPECT_FALSE(affine_in(nullptr, i).has_value());
+  EXPECT_FALSE(affine_in(make_bottom(), i).has_value());
+  // λ markers change per iteration on their own, with or without the index.
+  EXPECT_FALSE(affine_in(add(make_iter_start(n), I()), i).has_value());
+  EXPECT_FALSE(affine_in(make_iter_start(n), i).has_value());
+  EXPECT_FALSE(affine_in(mul(I(), I()), i).has_value());
+  EXPECT_FALSE(affine_in(mul(mul(I(), I()), N()), i).has_value());
+  EXPECT_FALSE(affine_in(mul(I(), make_array_elem(a, I())), i).has_value());
+  EXPECT_FALSE(affine_in(make_array_elem(a, I()), i).has_value());
+  EXPECT_FALSE(affine_in(div_floor(I(), make_const(2)), i).has_value());
+  EXPECT_FALSE(affine_in(mod(I(), N()), i).has_value());
+  EXPECT_FALSE(affine_in(smin(I(), N()), i).has_value());
+  EXPECT_FALSE(affine_in(smax(I(), N()), i).has_value());
+  EXPECT_EQ(const_stride(std::nullopt), std::nullopt);
+}
+
+TEST_F(ExprTest, AffineInNestsOverAnOuterIndex) {
+  // 4*j + i: the rest over i is 4*j, itself affine over j.
+  SymbolId j = syms.intern("j");
+  auto inner = affine_in(add(mul_const(make_sym(j), 4), I()), i);
+  ASSERT_TRUE(inner.has_value());
+  EXPECT_EQ(const_value(inner->stride), std::optional<int64_t>(1));
+  auto outer = affine_in(inner->rest, j);
+  ASSERT_TRUE(outer.has_value());
+  EXPECT_EQ(const_value(outer->stride), std::optional<int64_t>(4));
+  EXPECT_EQ(const_value(outer->rest), std::optional<int64_t>(0));
+}
+
+// A random expression affine in i: c1*i + c2*m*i + c3*j + c4*q + c5.
+class AffineInDifferential : public ExprTest {
+ protected:
+  SymbolId j = syms.intern("j");
+  SymbolId m = syms.intern("m");
+  SymbolId q = syms.intern("q");
+
+  ExprPtr random_affine(std::mt19937& rng) {
+    std::uniform_int_distribution<int64_t> coeff(-5, 5);
+    ExprPtr e = make_const(coeff(rng));
+    e = add(e, mul_const(I(), coeff(rng)));
+    e = add(e, mul_const(mul(make_sym(m), I()), coeff(rng)));
+    e = add(e, mul_const(make_sym(j), coeff(rng)));
+    e = add(e, mul_const(make_sym(q), coeff(rng)));
+    return e;
+  }
+};
+
+TEST_F(AffineInDifferential, MatchesSubstitution) {
+  // stride * k + rest must be pointer-equal to substituting k for the index:
+  // both canonicalize through the same interning arena.
+  std::mt19937 rng(20260808);
+  for (int trial = 0; trial < 200; ++trial) {
+    ExprPtr e = random_affine(rng);
+    auto aff = affine_in(e, i);
+    ASSERT_TRUE(aff.has_value());
+    EXPECT_FALSE(contains_sym(aff->stride, i));
+    EXPECT_FALSE(contains_sym(aff->rest, i));
+    for (int64_t k = -4; k <= 8; ++k) {
+      ExprPtr at_k = add(mul(aff->stride, make_const(k)), aff->rest);
+      EXPECT_EQ(at_k, subst_sym(e, i, make_const(k))) << "trial " << trial << " k " << k;
+    }
+  }
+}
+
+TEST_F(AffineInDifferential, MatchesNumericEvaluationOverRandomizedNests) {
+  // Concretize every free symbol and compare the numeric value of the view
+  // with the original expression across a simulated loop nest (j outer,
+  // i inner): the interpreter's-eye view of the subscripts.
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int64_t> val(-7, 7);
+  for (int trial = 0; trial < 100; ++trial) {
+    ExprPtr e = random_affine(rng);
+    int64_t mv = val(rng), qv = val(rng);
+    auto aff = affine_in(e, i);
+    ASSERT_TRUE(aff.has_value());
+    for (int64_t jv = 0; jv < 3; ++jv) {
+      auto concretize = [&](ExprPtr x) {
+        x = subst_sym(x, m, make_const(mv));
+        x = subst_sym(x, q, make_const(qv));
+        return subst_sym(x, j, make_const(jv));
+      };
+      ExprPtr stride = concretize(aff->stride);
+      ExprPtr rest = concretize(aff->rest);
+      for (int64_t iv = 0; iv < 6; ++iv) {
+        auto expect = const_value(concretize(subst_sym(e, i, make_const(iv))));
+        auto got = const_value(add(mul_const(stride, iv), rest));
+        ASSERT_TRUE(expect.has_value());
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(*got, *expect) << "trial " << trial << " j " << jv << " i " << iv;
+      }
+    }
+  }
 }
 
 TEST_F(ExprTest, SubstSym) {

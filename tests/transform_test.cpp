@@ -2,6 +2,7 @@
 
 #include "frontend/printer.h"
 #include "frontend/sema.h"
+#include "pipeline/session.h"
 #include "support/diagnostics.h"
 #include "support/text.h"
 #include "transform/omp_emitter.h"
@@ -10,7 +11,7 @@ namespace sspar::transform {
 namespace {
 
 TEST(Transform, AnnotatesParallelLoopWithPragma) {
-  auto result = translate_source(R"(
+  pipeline::Session session(R"(
     int n;
     int a[100];
     int b[100];
@@ -20,13 +21,15 @@ TEST(Transform, AnnotatesParallelLoopWithPragma) {
       }
     }
   )");
-  ASSERT_TRUE(result.ok) << result.diagnostics;
-  EXPECT_EQ(result.parallelized, 1);
-  EXPECT_TRUE(support::contains(result.output, "#pragma omp parallel for"));
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  const int annotated = session.annotate();
+  const std::string output = session.emit().output;
+  EXPECT_EQ(annotated, 1);
+  EXPECT_TRUE(support::contains(output, "#pragma omp parallel for"));
 }
 
 TEST(Transform, PrivateClauseListsScalars) {
-  auto result = translate_source(R"(
+  pipeline::Session session(R"(
     int n;
     int t;
     int a[100];
@@ -38,12 +41,14 @@ TEST(Transform, PrivateClauseListsScalars) {
       }
     }
   )");
-  ASSERT_TRUE(result.ok);
-  EXPECT_TRUE(support::contains(result.output, "private(t)")) << result.output;
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  session.annotate();
+  const std::string output = session.emit().output;
+  EXPECT_TRUE(support::contains(output, "private(t)")) << output;
 }
 
 TEST(Transform, SequentialLoopNotAnnotated) {
-  auto result = translate_source(R"(
+  pipeline::Session session(R"(
     int n;
     int a[100];
     void f(void) {
@@ -52,13 +57,15 @@ TEST(Transform, SequentialLoopNotAnnotated) {
       }
     }
   )");
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.parallelized, 0);
-  EXPECT_FALSE(support::contains(result.output, "#pragma"));
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  const int annotated = session.annotate();
+  const std::string output = session.emit().output;
+  EXPECT_EQ(annotated, 0);
+  EXPECT_FALSE(support::contains(output, "#pragma"));
 }
 
 TEST(Transform, OnlyOutermostParallelLoopAnnotated) {
-  auto result = translate_source(R"(
+  pipeline::Session session(R"(
     int n;
     int a[100][100];
     double c[100];
@@ -72,12 +79,14 @@ TEST(Transform, OnlyOutermostParallelLoopAnnotated) {
       }
     }
   )");
-  ASSERT_TRUE(result.ok);
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  session.annotate();
+  const std::string output = session.emit().output;
   // The outer loop is NOT parallel (all iterations write d[0..n-1]); the
   // inner one is, and it should carry the pragma.
   size_t count = 0;
   size_t pos = 0;
-  while ((pos = result.output.find("#pragma omp parallel for", pos)) != std::string::npos) {
+  while ((pos = output.find("#pragma omp parallel for", pos)) != std::string::npos) {
     ++count;
     ++pos;
   }
@@ -143,7 +152,7 @@ TEST(Transform, DuplicateVerdictsResolveDeterministically) {
 TEST(Transform, Fig9EndToEnd) {
   // The headline transformation: the paper's Fig. 9 product loop gets the
   // pragma with j1 privatized; the fill loops stay sequential.
-  auto result = translate_source(R"(
+  pipeline::Session session(R"(
     int ROWLEN;
     int COLUMNLEN;
     int ind;
@@ -184,20 +193,21 @@ TEST(Transform, Fig9EndToEnd) {
       }
     }
   )",
-                                 core::AnalyzerOptions{},
-                                 {{"ROWLEN", 1}, {"COLUMNLEN", 1}});
-  ASSERT_TRUE(result.ok) << result.diagnostics;
-  EXPECT_EQ(result.parallelized, 1);
-  EXPECT_TRUE(support::contains(result.output, "private(j1)")) << result.output;
+                            {{"ROWLEN", 1}, {"COLUMNLEN", 1}});
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  const int annotated = session.annotate();
+  const std::string output = session.emit().output;
+  EXPECT_EQ(annotated, 1);
+  EXPECT_TRUE(support::contains(output, "private(j1)")) << output;
   // The pragma must be attached to the product loop (after rowptr[0] = 0).
-  size_t pragma_pos = result.output.find("#pragma omp parallel for");
-  size_t rowptr0_pos = result.output.find("rowptr[0] = 0");
+  size_t pragma_pos = output.find("#pragma omp parallel for");
+  size_t rowptr0_pos = output.find("rowptr[0] = 0");
   ASSERT_NE(pragma_pos, std::string::npos);
   ASSERT_NE(rowptr0_pos, std::string::npos);
   EXPECT_GT(pragma_pos, rowptr0_pos);
   // The transformed source must still parse.
   support::DiagnosticEngine diags;
-  auto reparsed = ast::parse_and_resolve(result.output, diags);
+  auto reparsed = ast::parse_and_resolve(output, diags);
   EXPECT_TRUE(reparsed.ok) << diags.dump();
 }
 

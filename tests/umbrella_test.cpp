@@ -7,7 +7,7 @@
 namespace {
 
 TEST(Umbrella, FullPipelineThroughPublicApi) {
-  auto result = sspar::transform::translate_source(R"(
+  sspar::pipeline::Session session(R"(
     int n;
     int nsz[100];
     int ptr[101];
@@ -27,15 +27,15 @@ TEST(Umbrella, FullPipelineThroughPublicApi) {
       }
     }
   )",
-                                                   sspar::core::AnalyzerOptions{},
-                                                   {{"n", 1}});
-  ASSERT_TRUE(result.ok) << result.diagnostics;
-  EXPECT_GE(result.parallelized, 1);
+                                   {{"n", 1}});
+  ASSERT_TRUE(session.parse()) << session.diagnostics().dump();
+  EXPECT_GE(session.annotate(), 1);
+  EXPECT_TRUE(session.emit().ok);
 
   // Dynamic validation through the same public surface.
-  sspar::interp::Interpreter interp(*result.parsed.program);
+  sspar::interp::Interpreter interp(*session.program());
   interp.set_scalar("n", int64_t{40});
-  for (const auto& v : result.verdicts) {
+  for (const auto& v : *session.parallelize()) {
     if (!v.parallel) continue;
     auto report = interp.analyze_loop_dependences("f", v.loop);
     EXPECT_TRUE(report.dependence_free) << report.first_conflict;
