@@ -1,6 +1,7 @@
 // Micro benchmarks for the symbolic substrate: canonicalization, the prover,
 // and the whole-pipeline translation of the Fig. 9 program. These are the
-// inner loops of the compile-time analysis whose cost E6 measures end to end.
+// inner loops of the compile-time analysis whose cost sspbench's batch-cold
+// workload measures end to end.
 #include <benchmark/benchmark.h>
 
 #include "symbolic/context.h"

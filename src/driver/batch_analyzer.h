@@ -52,8 +52,11 @@ struct ProgramReport {
   // Interprocedural summary-cache counters of this program's session
   // (computed/hits/context_computed/applications plus this session's
   // cross-program shared_hits/shared_misses; all zero for single-function
-  // programs). The shared hit/miss split can depend on scheduling with
-  // threads > 1 — everything else is deterministic.
+  // programs). With threads > 1 the shared hit/miss split depends on
+  // scheduling, and so do computed, hits and applications: a summary
+  // rehydrated from the cross-program cache is neither computed here nor
+  // applies its callees' summaries. materialized(), context_computed,
+  // shared_requests(), store_hits and scc_summaries are deterministic.
   ipa::SummaryDB::Stats summary_cache;
 
   // Per-program counts over result.verdicts (all zero when !ok).
@@ -87,6 +90,10 @@ struct BatchStats {
   // Programs containing >= 1 parallel loop with a subscripted subscript.
   int programs_with_pattern = 0;
   // Interprocedural summary-cache totals across all program sessions.
+  // summaries_computed counts materialized summaries and is deterministic.
+  // summary_cache_hits and summary_applications follow the cross-cache
+  // hit/miss split, so with threads > 1 they depend on scheduling; they are
+  // reported but left out of operator==.
   int summaries_computed = 0;
   int summary_cache_hits = 0;
   int summary_applications = 0;

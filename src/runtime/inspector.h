@@ -2,8 +2,9 @@
 //
 // Inspector/executor schemes verify index-array properties at run time before
 // executing a loop in parallel. The paper's argument against them is the
-// inspection overhead on every invocation; bench/inspector_overhead
-// quantifies that against the compile-time approach (which pays nothing).
+// inspection overhead on every invocation, which the compile-time approach
+// does not pay. These checks back the interpreter's sspar_check_* builtins,
+// the runtime half of hybrid (dual-version) verdicts.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,7 @@
 // Persistent worker pool with a blocking fork-join parallel_for.
 //
-// The kernels use this instead of OpenMP so thread count is controlled
-// programmatically per benchmark run (2/4/6/8 threads as in the paper's
-// Fig. 10) and so the project is self-contained.
+// The batch driver (driver::BatchAnalyzer) runs its analysis lanes on it,
+// so the thread count is set per run and the project needs no OpenMP.
 #pragma once
 
 #include <atomic>

@@ -24,7 +24,7 @@
 //
 // Lower-level entry points: ast::parse_and_resolve, core::Analyzer,
 // core::Parallelizer, interp::Interpreter (dynamic oracle), rt::ThreadPool,
-// kern::CgBenchmark (NPB CG), corpus::all_entries().
+// corpus::all_entries().
 #pragma once
 
 #include "core/analyzer.h"        // IWYU pragma: export
@@ -39,9 +39,6 @@
 #include "ipa/call_graph.h"       // IWYU pragma: export
 #include "ipa/cross_cache.h"      // IWYU pragma: export
 #include "ipa/summary.h"          // IWYU pragma: export
-#include "kernels/csr.h"          // IWYU pragma: export
-#include "kernels/npb_cg.h"       // IWYU pragma: export
-#include "kernels/pattern_kernels.h"  // IWYU pragma: export
 #include "pipeline/assumptions.h"  // IWYU pragma: export
 #include "pipeline/session.h"     // IWYU pragma: export
 #include "runtime/inspector.h"    // IWYU pragma: export

@@ -3,6 +3,9 @@
 // requires bit-identical per-loop verdicts and aggregate statistics.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "driver/batch_analyzer.h"
 
 namespace sspar::driver {
@@ -71,6 +74,77 @@ TEST(DriverDeterminism, RepeatedRunsAreStable) {
   BatchReport second = analyzer.run(inputs);
   EXPECT_EQ(first.stats, second.stats);
   EXPECT_TRUE(flatten(first) == flatten(second));
+}
+
+// Programs that share a two-level helper chain: h calls g, f calls h. A
+// session that computes h's summary applies g's at the call; a session that
+// rehydrates h from the cross-program cache applies none. Which one a
+// session does depends on which lane reaches the key first.
+std::vector<ProgramInput> shared_helper_chain_batch() {
+  std::vector<ProgramInput> inputs;
+  for (int p = 0; p < 32; ++p) {
+    std::string source = R"(
+      int n;
+      int idx[4096];
+      int a[4096];
+      void g(int i) {
+        idx[i] = 2 * i;
+      }
+      void h(int i) {
+        g(i);
+        a[idx[i]] = i;
+      }
+      void f() {
+        for (int i = 0; i < n; i++) {
+          h(i + )" + std::to_string(p) + R"();
+        }
+      }
+    )";
+    inputs.push_back(ProgramInput{"chain" + std::to_string(p), source, {{"n", 1}}});
+  }
+  return inputs;
+}
+
+TEST(DriverDeterminism, SharedHelperChainStatsAgreeAcrossThreadCounts) {
+  auto inputs = shared_helper_chain_batch();
+  BatchReport serial = BatchAnalyzer(BatchOptions{1, {}}).run(inputs);
+  ASSERT_EQ(serial.stats.failed, 0);
+  ASSERT_GT(serial.stats.cross_summary_requests, 0);
+  BatchAnalyzer wide(BatchOptions{4, {}});
+  for (int run = 0; run < 40; ++run) {
+    BatchReport parallel = wide.run(inputs);
+    ASSERT_EQ(serial.stats, parallel.stats) << "run " << run;
+    ASSERT_TRUE(flatten(serial) == flatten(parallel)) << "run " << run;
+  }
+}
+
+TEST(DriverDeterminism, StatsEqualityIgnoresOnlyTheSchedulingDependentCounters) {
+  // summary_cache_hits and summary_applications follow the cross-cache
+  // hit/miss split, so two otherwise equal stats compare equal.
+  BatchStats scheduled;
+  scheduled.summary_cache_hits = 7;
+  scheduled.summary_applications = 3;
+  EXPECT_EQ(scheduled, BatchStats{});
+
+  // Every other field takes part in the comparison.
+  for (int BatchStats::*field :
+       {&BatchStats::programs, &BatchStats::failed, &BatchStats::loops,
+        &BatchStats::subscripted, &BatchStats::parallel, &BatchStats::parallel_subscripted,
+        &BatchStats::annotated, &BatchStats::static_parallel, &BatchStats::hybrid_parallel,
+        &BatchStats::serial, &BatchStats::programs_with_pattern,
+        &BatchStats::summaries_computed, &BatchStats::summary_context_computed,
+        &BatchStats::cross_summary_requests, &BatchStats::cross_summary_entries,
+        &BatchStats::summary_scc, &BatchStats::store_loaded, &BatchStats::store_hits,
+        &BatchStats::store_misses, &BatchStats::store_evicted, &BatchStats::store_flushed,
+        &BatchStats::shed, &BatchStats::timed_out, &BatchStats::recovered,
+        &BatchStats::journal_replays}) {
+    BatchStats changed;
+    changed.*field = 1;
+    EXPECT_FALSE(changed == BatchStats{});
+  }
+  BatchStats histogram;
+  histogram.property_counts["monotonic"] = 1;
+  EXPECT_FALSE(histogram == BatchStats{});
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace {
 
 TEST(Umbrella, FullPipelineThroughPublicApi) {
@@ -41,10 +44,20 @@ TEST(Umbrella, FullPipelineThroughPublicApi) {
     EXPECT_TRUE(report.dependence_free) << report.first_conflict;
   }
 
-  // Kernel + runtime surface.
+  // Runtime surface: the pool covers every index once, and its reduction
+  // matches the serial sum.
   sspar::rt::ThreadPool pool(4);
-  auto kernel = sspar::kern::RowRangeProduct::random(1000, 4, 1);
-  EXPECT_EQ(kernel.run_serial(), kernel.run_parallel(pool));
+  std::vector<int> visits(1000, 0);
+  pool.parallel_for(0, 1000, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) ++visits[static_cast<size_t>(i)];
+  });
+  EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), 1000);
+  double sum = pool.parallel_reduce(0, 1000, [](int64_t lo, int64_t hi) {
+    double partial = 0.0;
+    for (int64_t i = lo; i < hi; ++i) partial += static_cast<double>(i);
+    return partial;
+  });
+  EXPECT_EQ(sum, 999.0 * 1000.0 / 2.0);
   EXPECT_FALSE(sspar::corpus::all_entries().empty());
 }
 
