@@ -11,7 +11,8 @@ length, so no machine-speed correction is needed.
 
 The gate fails when any run reads "correct": false or "failed" > 0, or when
 the change's median of an end-to-end metric is worse than the base median
-by more than that metric's bound. Names, directions and bounds come from
+by more than that metric's bound, or when a gated metric is measured on
+one side only. Names, directions and bounds come from
 BENCHMARK.json's end_to_end list. Traced runs add one quality check:
 ipa.cross_cache_hit_ratio may drop by at most CROSS_CACHE_BOUND.
 
@@ -74,6 +75,8 @@ def main():
     print("%-24s %12s %12s %8s %6s  verdict" % ("metric", "base", "change", "ratio", "bound"))
     for name, better, bound in gated:
         if name not in base or name not in change:
+            if name in base or name in change:
+                failures.append("%s: measured on one side only" % name)
             continue
         b, c = base[name], change[name]
         if better == "lower":
