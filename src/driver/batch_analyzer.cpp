@@ -1,8 +1,10 @@
 #include "driver/batch_analyzer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "corpus/analysis.h"
@@ -129,23 +131,32 @@ BatchReport BatchAnalyzer::run(const std::vector<ProgramInput>& inputs,
         if (on_report) on_report(report.programs[i]);
       }
     } else {
-      // Each index writes only its own slot, so the report vector needs no
-      // locking and its order never depends on scheduling. Only the
-      // streaming callback needs serialization.
+      // Longest-processing-time first, with source bytes as the cost proxy:
+      // each lane pulls the next-largest program from a shared cursor until
+      // none is left. Each program writes only its own input-ordered slot,
+      // so the report vector needs no locking and its order never depends
+      // on scheduling. Only the streaming callback needs serialization.
+      std::vector<size_t> order(inputs.size());
+      std::iota(order.begin(), order.end(), size_t{0});
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return inputs[a].source.size() > inputs[b].source.size();
+      });
+      std::atomic<size_t> next{0};
       std::mutex callback_mutex;
-      rt::ThreadPool pool(std::min<size_t>(threads_, inputs.size()));
-      pool.parallel_for(0, static_cast<int64_t>(inputs.size()),
-                        [&](int64_t begin, int64_t end) {
-                          for (int64_t i = begin; i < end; ++i) {
-                            ProgramReport& slot = report.programs[static_cast<size_t>(i)];
-                            slot = analyze_one(inputs[static_cast<size_t>(i)],
-                                               options_.analyzer, shared);
-                            if (on_report) {
-                              std::lock_guard<std::mutex> lock(callback_mutex);
-                              on_report(slot);
-                            }
-                          }
-                        });
+      const size_t lanes = std::min<size_t>(threads_, inputs.size());
+      rt::ThreadPool pool(static_cast<unsigned>(lanes));
+      // One parallel_for index per lane; the lane's work is whatever it
+      // pulls from `next`, not the index range it was handed.
+      pool.parallel_for(0, static_cast<int64_t>(lanes), [&](int64_t, int64_t) {
+        for (size_t k = next++; k < order.size(); k = next++) {
+          const size_t i = order[k];
+          report.programs[i] = analyze_one(inputs[i], options_.analyzer, shared);
+          if (on_report) {
+            std::lock_guard<std::mutex> lock(callback_mutex);
+            on_report(report.programs[i]);
+          }
+        }
+      });
     }
   }
   report.stats = aggregate(report.programs);

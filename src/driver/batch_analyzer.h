@@ -4,6 +4,11 @@
 // into corpus-wide statistics — the paper's Fig. 1 survey numbers as a
 // programmatic API.
 //
+// Dispatch is dynamic, largest first: the programs are ordered by
+// descending source size (ties keep input order), and each lane pulls the
+// next one from a shared cursor as soon as it finishes the last, so no lane
+// sits idle while another works through a run of large programs.
+//
 // Results are deterministic: reports come back in input order and every
 // aggregate is computed serially from them, so a 1-thread and an 8-thread run
 // produce identical output. A malformed program never aborts the batch; it
@@ -154,8 +159,11 @@ struct BatchOptions {
   //         core; when the hardware cannot be queried (the standard allows
   //         hardware_concurrency() == 0) the analyzer falls back to 2 so the
   //         concurrent path is still exercised;
-  //   1  -> run serially on the calling thread (no pool, no extra threads);
-  //   N  -> a pool with N-1 workers plus the calling thread (no clamping).
+  //   1  -> run serially on the calling thread, in input order (no pool,
+  //         no extra threads);
+  //   N  -> min(N, number of inputs) lanes, the calling thread among them,
+  //         pulling programs largest first (see the top of this file).
+  //         threads() reports N itself; only the pool is capped.
   // Verdicts and aggregates are deterministic for every setting.
   unsigned threads = 0;
   core::AnalyzerOptions analyzer;
@@ -189,7 +197,8 @@ class BatchAnalyzer {
   BatchReport run(const std::vector<ProgramInput>& inputs,
                   const ReportCallback& on_report = nullptr) const;
 
-  // Thread count the analyzer will actually use (after clamping).
+  // The resolved thread count (0 replaced by the hardware's); a run uses at
+  // most this many lanes, and no more lanes than it has inputs.
   unsigned threads() const { return threads_; }
 
   // The whole benchmark corpus (corpus::all_entries()) as batch inputs.

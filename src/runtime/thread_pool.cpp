@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.h"
 
+#include <algorithm>
+
 namespace sspar::rt {
 
 ThreadPool::ThreadPool(unsigned threads) : threads_(threads == 0 ? 1 : threads) {
@@ -18,14 +20,32 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
+namespace {
+
+// [begin, begin + total) split `parts` ways into contiguous chunks: the first
+// `extra` chunks hold base + 1 elements, the rest base.
+struct StaticSplit {
+  int64_t begin, base, extra;
+  StaticSplit(int64_t begin, int64_t end, unsigned parts)
+      : begin(begin), base((end - begin) / parts), extra((end - begin) % parts) {}
+  int64_t start(unsigned chunk) const {
+    return begin + chunk * base + std::min<int64_t>(chunk, extra);
+  }
+  // Inverse of start() for a non-empty chunk.
+  unsigned chunk_of(int64_t lo) const {
+    int64_t offset = lo - begin;
+    int64_t wide = extra * (base + 1);  // elements held by the first `extra` chunks
+    return static_cast<unsigned>(offset < wide ? offset / (base + 1)
+                                               : extra + (offset - wide) / base);
+  }
+};
+
+}  // namespace
+
 void ThreadPool::chunk_bounds(unsigned worker_id, int64_t* lo, int64_t* hi) const {
-  int64_t total = job_end_ - job_begin_;
-  int64_t base = total / threads_;
-  int64_t extra = total % threads_;
-  int64_t offset = worker_id * base + std::min<int64_t>(worker_id, extra);
-  int64_t len = base + (worker_id < static_cast<unsigned>(extra) ? 1 : 0);
-  *lo = job_begin_ + offset;
-  *hi = *lo + len;
+  StaticSplit split(job_begin_, job_end_, threads_);
+  *lo = split.start(worker_id);
+  *hi = split.start(worker_id + 1);
 }
 
 void ThreadPool::worker_loop(unsigned worker_id) {
@@ -77,11 +97,11 @@ double ThreadPool::parallel_reduce(int64_t begin, int64_t end,
                                    const std::function<double(int64_t, int64_t)>& chunk_fn) {
   if (end <= begin) return 0.0;
   std::vector<double> partials(threads_, 0.0);
-  std::atomic<unsigned> next{0};
-  // Identify each chunk by its position so the reduction order is stable.
+  // Each partial goes to its chunk's slot, not its arrival order, so the
+  // sum below adds them in chunk order whatever the scheduling.
+  const StaticSplit split(begin, end, threads_);
   parallel_for(begin, end, [&](int64_t lo, int64_t hi) {
-    unsigned slot = next.fetch_add(1, std::memory_order_relaxed);
-    partials[slot % threads_] += chunk_fn(lo, hi);
+    partials[split.chunk_of(lo)] = chunk_fn(lo, hi);
   });
   double total = 0.0;
   for (double p : partials) total += p;

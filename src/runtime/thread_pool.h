@@ -1,7 +1,11 @@
 // Persistent worker pool with a blocking fork-join parallel_for.
 //
-// The batch driver (driver::BatchAnalyzer) runs its analysis lanes on it,
-// so the thread count is set per run and the project needs no OpenMP.
+// parallel_for splits its range statically, which suits work whose items
+// cost the same, such as the inspector's rows (rt::InspectorExecutor). The
+// batch driver (driver::BatchAnalyzer), whose programs vary widely in cost,
+// asks for one index per lane and has each lane pull programs, largest
+// first, from a shared cursor. The thread count is set per run and the
+// project needs no OpenMP.
 #pragma once
 
 #include <atomic>

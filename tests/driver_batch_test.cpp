@@ -174,5 +174,59 @@ TEST(BatchAnalyzer, FailedProgramsCarryStructuredDiagnostics) {
   EXPECT_TRUE(p.result.diags[0].location.valid());
 }
 
+// Program `index` of a batch whose sizes rise with the index — the worst
+// case for a static split into contiguous chunks, whose last lane would get
+// all the large programs. Program k holds k + 1 kernels that all call one
+// shared helper, so the cross-program summary cache is raced on too.
+// Every fifth program also writes an undeclared array and fails with a
+// diagnostic.
+ProgramInput rising(int index) {
+  std::string source =
+      "int n;\nint perm[100];\ndouble a[100];\n"
+      "void fill(void) {\n  for (int i = 0; i < n; i++) { perm[i] = i; }\n}\n";
+  for (int k = 0; k <= index; ++k) {
+    const std::string id = std::to_string(k);
+    source += "void kernel" + id + "(void) {\n  fill();\n";
+    source += "  for (int i = 0; i < n; i++) { a[perm[i]] = a[perm[i]] * " + id + ".0; }\n";
+    source += "}\n";
+  }
+  if (index % 5 == 4) source += "void broken(void) { missing[0] = 1; }\n";
+  return ProgramInput{"rising" + std::to_string(index), source, {{"n", 1}}};
+}
+
+TEST(BatchAnalyzer, DynamicDispatchMatchesTheSerialRunOnRisingSizes) {
+  std::vector<ProgramInput> inputs;
+  for (int i = 0; i < 12; ++i) inputs.push_back(rising(i));
+  const BatchReport serial = BatchAnalyzer(BatchOptions{1, {}}).run(inputs);
+  ASSERT_EQ(serial.programs.size(), inputs.size());
+  EXPECT_GT(serial.stats.failed, 0);
+  EXPECT_LT(serial.stats.failed, serial.stats.programs);
+  EXPECT_GT(serial.stats.parallel_subscripted, 0);
+
+  // 16 threads is more lanes than the 12 programs can use.
+  for (unsigned threads : {2u, 4u, 8u, 16u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::mutex seen_mutex;
+    std::multiset<std::string> seen;
+    BatchReport report =
+        BatchAnalyzer(BatchOptions{threads, {}}).run(inputs, [&](const ProgramReport& p) {
+          std::lock_guard<std::mutex> lock(seen_mutex);
+          seen.insert(p.name);
+        });
+    ASSERT_EQ(seen.size(), inputs.size());
+    ASSERT_EQ(report.programs.size(), inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(seen.count(inputs[i].name), 1u) << inputs[i].name;
+      EXPECT_EQ(report.programs[i].name, inputs[i].name);
+      EXPECT_EQ(report.programs[i].ok, serial.programs[i].ok) << inputs[i].name;
+      EXPECT_EQ(report.programs[i].result.output, serial.programs[i].result.output)
+          << inputs[i].name;
+      EXPECT_EQ(report.programs[i].result.diagnostics, serial.programs[i].result.diagnostics)
+          << inputs[i].name;
+    }
+    EXPECT_EQ(report.stats, serial.stats);
+  }
+}
+
 }  // namespace
 }  // namespace sspar::driver

@@ -56,6 +56,26 @@ TEST(ThreadPool, ReduceMatchesSerialSum) {
   EXPECT_NEAR(serial, parallel, 1e-9);
 }
 
+TEST(ThreadPool, ReduceAddsPartialsInChunkOrder) {
+  // One element per chunk at 4 threads. Floating-point addition does not
+  // associate here: in chunk order ((1e16 + 1) - 1e16) + 1 == 1, while an
+  // order decided by which lane finishes first can give 0 or 2.
+  const std::vector<double> v = {1e16, 1.0, -1e16, 1.0};
+  double ordered = 0.0;
+  for (double x : v) ordered += x;
+  ASSERT_EQ(ordered, 1.0);
+  ThreadPool pool(4);
+  for (int round = 0; round < 200; ++round) {
+    double got = pool.parallel_reduce(0, static_cast<int64_t>(v.size()),
+                                      [&](int64_t lo, int64_t hi) {
+                                        double s = 0.0;
+                                        for (int64_t i = lo; i < hi; ++i) s += v[static_cast<size_t>(i)];
+                                        return s;
+                                      });
+    ASSERT_EQ(got, ordered) << "round " << round;
+  }
+}
+
 TEST(ThreadPool, ManySequentialJobs) {
   ThreadPool pool(4);
   std::atomic<int64_t> total{0};
