@@ -6,10 +6,10 @@
 #include <mutex>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "corpus/analysis.h"
 #include "corpus/corpus.h"
-#include "runtime/thread_pool.h"
 
 namespace sspar::driver {
 
@@ -28,12 +28,12 @@ unsigned clamp_threads(unsigned requested) {
 }
 
 ProgramReport analyze_one(const ProgramInput& input, const core::AnalyzerOptions& options,
-                          ipa::CrossProgramCache* shared) {
+                          ipa::CrossProgramCache& shared) {
   ProgramReport report;
   report.name = input.name;
   try {
     pipeline::Session session(input.source, input.assumptions);
-    if (shared) session.share_summaries(shared);
+    session.share_summaries(&shared);
     if (session.parse()) {
       session.analyze(options);
       if (const auto* verdicts = session.parallelize()) report.result.verdicts = *verdicts;
@@ -99,8 +99,7 @@ bool BatchStats::operator==(const BatchStats& other) const {
          summary_scc == other.summary_scc && store_loaded == other.store_loaded &&
          store_hits == other.store_hits && store_misses == other.store_misses &&
          store_evicted == other.store_evicted && store_flushed == other.store_flushed &&
-         shed == other.shed && timed_out == other.timed_out &&
-         recovered == other.recovered && journal_replays == other.journal_replays &&
+         journal_replays == other.journal_replays &&
          property_counts == other.property_counts;
 }
 
@@ -117,14 +116,11 @@ BatchReport BatchAnalyzer::run(const std::vector<ProgramInput>& inputs,
   // caller-owned cache (options_.share_with) — typically warmed from a
   // store::SummaryStore — takes the place of the per-run one, carrying
   // summaries across runs.
-  ipa::CrossProgramCache shared_cache;
-  ipa::CrossProgramCache* shared = nullptr;
-  if (options_.shared_summaries) {
-    shared = options_.share_with ? options_.share_with : &shared_cache;
-  }
+  ipa::CrossProgramCache run_cache;
+  ipa::CrossProgramCache& shared = options_.share_with ? *options_.share_with : run_cache;
   if (!inputs.empty()) {
     if (threads_ == 1) {
-      // threads == 1 means "serial on the calling thread": no pool, and the
+      // threads == 1 means "serial on the calling thread": no lanes, and the
       // streaming callback fires in input order.
       for (size_t i = 0; i < inputs.size(); ++i) {
         report.programs[i] = analyze_one(inputs[i], options_.analyzer, shared);
@@ -143,29 +139,44 @@ BatchReport BatchAnalyzer::run(const std::vector<ProgramInput>& inputs,
       });
       std::atomic<size_t> next{0};
       std::mutex callback_mutex;
-      const size_t lanes = std::min<size_t>(threads_, inputs.size());
-      rt::ThreadPool pool(static_cast<unsigned>(lanes));
-      // One parallel_for index per lane; the lane's work is whatever it
-      // pulls from `next`, not the index range it was handed.
-      pool.parallel_for(0, static_cast<int64_t>(lanes), [&](int64_t, int64_t) {
-        for (size_t k = next++; k < order.size(); k = next++) {
-          const size_t i = order[k];
-          report.programs[i] = analyze_one(inputs[i], options_.analyzer, shared);
-          if (on_report) {
-            std::lock_guard<std::mutex> lock(callback_mutex);
-            on_report(report.programs[i]);
+      // The first exception any lane throws (only the streaming callback
+      // can: analyze_one catches its own). It empties the cursor so the
+      // other lanes stop, and is rethrown on the calling thread once every
+      // lane has joined.
+      std::exception_ptr failure;
+      auto lane = [&] {
+        try {
+          for (size_t k = next++; k < order.size(); k = next++) {
+            const size_t i = order[k];
+            report.programs[i] = analyze_one(inputs[i], options_.analyzer, shared);
+            if (on_report) {
+              std::lock_guard<std::mutex> lock(callback_mutex);
+              on_report(report.programs[i]);
+            }
           }
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(callback_mutex);
+          if (!failure) failure = std::current_exception();
+          next = order.size();
         }
-      });
+      };
+      {
+        // lanes - 1 helper threads plus the calling thread; the helpers
+        // join when `helpers` leaves this scope.
+        const size_t lanes = std::min<size_t>(threads_, inputs.size());
+        std::vector<std::jthread> helpers;
+        helpers.reserve(lanes - 1);
+        for (size_t l = 1; l < lanes; ++l) helpers.emplace_back(lane);
+        lane();
+      }
+      if (failure) std::rethrow_exception(failure);
     }
   }
   report.stats = aggregate(report.programs);
-  if (shared) {
-    report.shared_cache = shared->stats();
-    // The set of unique content keys is scheduling-independent (every
-    // requested-and-missed key gets inserted), so this stays deterministic.
-    report.stats.cross_summary_entries = static_cast<int>(shared->size());
-  }
+  report.shared_cache = shared.stats();
+  // The set of unique content keys is scheduling-independent (every
+  // requested-and-missed key gets inserted), so this stays deterministic.
+  report.stats.cross_summary_entries = static_cast<int>(shared.size());
   return report;
 }
 

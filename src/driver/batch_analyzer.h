@@ -1,13 +1,15 @@
 // Concurrent batch-analysis driver: runs the staged pipeline
 // (pipeline::Session — parse -> analyze -> parallelize -> annotate -> emit)
-// over many programs on a rt::ThreadPool and aggregates per-loop verdicts
+// over many programs on concurrent lanes and aggregates per-loop verdicts
 // into corpus-wide statistics — the paper's Fig. 1 survey numbers as a
 // programmatic API.
 //
-// Dispatch is dynamic, largest first: the programs are ordered by
-// descending source size (ties keep input order), and each lane pulls the
-// next one from a shared cursor as soon as it finishes the last, so no lane
-// sits idle while another works through a run of large programs.
+// Each run starts its own lanes: the calling thread plus lanes - 1
+// std::jthreads, joined before the run returns. Dispatch is dynamic, largest
+// first: the programs are ordered by descending source size (ties keep input
+// order), and each lane pulls the next one from a shared cursor as soon as
+// it finishes the last, so no lane sits idle while another works through a
+// run of large programs.
 //
 // Results are deterministic: reports come back in input order and every
 // aggregate is computed serially from them, so a 1-thread and an 8-thread run
@@ -126,16 +128,12 @@ struct BatchStats {
   int store_misses = 0;   // shared lookups the store could not serve
   int store_evicted = 0;  // records dropped by the size cap at flush
   int store_flushed = 0;  // records written by the last flush
-  // Resilience counters (JSON `stats.resilience`). Per-RUN values, so they
-  // are deterministic and inside operator==: a batch run never sheds or
-  // times out its own requests (always 0 here — the server's cumulative
-  // shed/timed_out/recovered totals live in the `stats` method response,
-  // outside report equality), and journal_replays is fixed by the store
-  // state the run opened with.
-  int shed = 0;             // requests refused by the connection cap
-  int timed_out = 0;        // requests past their deadline or read timeout
-  int recovered = 0;        // analyze exceptions turned into error responses
-  int journal_replays = 0;  // WAL records replayed when the store opened
+  // WAL records replayed when the store opened (JSON
+  // `stats.resilience.journal_replays`). Fixed by the store state the run
+  // opened with, so deterministic and inside operator==. The server's
+  // cumulative shed/timed_out/recovered totals live in its `stats` method
+  // response, outside report equality.
+  int journal_replays = 0;
   // Enabling-property histogram over parallel subscripted-subscript loops,
   // keyed by core::property_name(verdict.property).
   std::map<std::string, int> property_counts;
@@ -146,10 +144,10 @@ struct BatchStats {
 struct BatchReport {
   std::vector<ProgramReport> programs;  // in input order
   BatchStats stats;
-  // Raw counters of the run's cross-program summary cache (all zero when
-  // sharing is disabled). lookups/entries are deterministic; the hit/miss
-  // split can vary with scheduling when sessions race on one key — never the
-  // verdicts, which are identical either way.
+  // Raw counters of the run's cross-program summary cache. lookups/entries
+  // are deterministic; the hit/miss split can vary with scheduling when
+  // sessions race on one key — never the verdicts, which are identical
+  // either way.
   ipa::CrossProgramCache::Stats shared_cache;
 };
 
@@ -159,26 +157,22 @@ struct BatchOptions {
   //         core; when the hardware cannot be queried (the standard allows
   //         hardware_concurrency() == 0) the analyzer falls back to 2 so the
   //         concurrent path is still exercised;
-  //   1  -> run serially on the calling thread, in input order (no pool,
-  //         no extra threads);
+  //   1  -> run serially on the calling thread, in input order (no extra
+  //         threads);
   //   N  -> min(N, number of inputs) lanes, the calling thread among them,
   //         pulling programs largest first (see the top of this file).
-  //         threads() reports N itself; only the pool is capped.
+  //         threads() reports N itself; only the lane count is capped.
   // Verdicts and aggregates are deterministic for every setting.
   unsigned threads = 0;
   core::AnalyzerOptions analyzer;
-  // Share one content-addressed summary cache across all program sessions
-  // (ipa::CrossProgramCache): corpus entries containing byte-identical
-  // helper functions reuse each other's summaries instead of re-deriving
-  // them. Verdicts are identical with or without sharing.
-  bool shared_summaries = true;
-  // External cache to share across RUNS (not just across the programs of one
-  // run). When non-null, sessions share this cache instead of a fresh
-  // per-run one; entries preloaded into it from a store::SummaryStore count
-  // as store hits. Ignored when shared_summaries is false. The caller keeps
-  // ownership and must keep it alive for the duration of run(). Appended
-  // after the original members so aggregate initialization like
-  // `BatchOptions{1, {}}` keeps meaning what it always did.
+  // Every run shares one content-addressed summary cache across all its
+  // program sessions (ipa::CrossProgramCache): corpus entries containing
+  // byte-identical helper functions reuse each other's summaries instead of
+  // re-deriving them. Verdicts are identical with or without sharing. By
+  // default the cache is a fresh per-run one; a non-null `share_with` takes
+  // its place, sharing across RUNS, and entries preloaded into it from a
+  // store::SummaryStore count as store hits. The caller keeps ownership and
+  // must keep it alive for the duration of run().
   ipa::CrossProgramCache* share_with = nullptr;
 };
 
@@ -193,7 +187,9 @@ class BatchAnalyzer {
   explicit BatchAnalyzer(BatchOptions options = {});
 
   // Analyzes all inputs concurrently; never throws for bad input programs.
-  // `on_report`, if given, streams each report as it completes.
+  // `on_report`, if given, streams each report as it completes. An
+  // exception thrown by `on_report` stops the run and propagates to the
+  // caller after every lane has joined.
   BatchReport run(const std::vector<ProgramInput>& inputs,
                   const ReportCallback& on_report = nullptr) const;
 

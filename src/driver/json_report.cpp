@@ -194,12 +194,9 @@ Value stats_to_json(const BatchStats& stats) {
   store.emplace("evicted", stats.store_evicted);
   store.emplace("flushed", stats.store_flushed);
   o.emplace("persistent_store", std::move(store));
-  // Per-run resilience counters (see BatchStats: deterministic, inside
+  // Per-run resilience counter (see BatchStats: deterministic, inside
   // operator== — the server's cumulative totals are reported elsewhere).
   Object resilience;
-  resilience.emplace("shed", stats.shed);
-  resilience.emplace("timed_out", stats.timed_out);
-  resilience.emplace("recovered", stats.recovered);
   resilience.emplace("journal_replays", stats.journal_replays);
   o.emplace("resilience", std::move(resilience));
   Object properties;
@@ -240,9 +237,6 @@ BatchStats stats_from_json(const Value& value) {
     stats.store_flushed = static_cast<int>(store->int_or("flushed", 0));
   }
   if (const Value* resilience = value.find("resilience")) {
-    stats.shed = static_cast<int>(resilience->int_or("shed", 0));
-    stats.timed_out = static_cast<int>(resilience->int_or("timed_out", 0));
-    stats.recovered = static_cast<int>(resilience->int_or("recovered", 0));
     stats.journal_replays = static_cast<int>(resilience->int_or("journal_replays", 0));
   }
   if (const Value* properties = value.find("property_counts")) {

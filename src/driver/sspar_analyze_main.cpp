@@ -47,9 +47,6 @@ void print_usage(std::ostream& os) {
         "                   logical core; 1 = serial on the calling thread)\n"
         "  --suite=NAME     corpus subset: paper | npb | suitesparse\n"
         "  --emit           also print the OpenMP-annotated source\n"
-        "  --no-shared-cache disable the cross-program summary cache (entries\n"
-        "                   with identical helper functions then re-derive\n"
-        "                   their summaries; verdicts are unaffected)\n"
         "  --json           machine-readable JSON report on stdout (verdicts,\n"
         "                   structured diagnostics, per-stage timings, stats)\n"
         "  --quiet          aggregate statistics only\n"
@@ -431,8 +428,6 @@ int main(int argc, char** argv) {
       have_suite = true;
     } else if (arg == "--emit") {
       emit = true;
-    } else if (arg == "--no-shared-cache") {
-      options.shared_summaries = false;
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--json") {

@@ -6,15 +6,14 @@ BatchReport run_with_store(const std::vector<ProgramInput>& inputs, BatchOptions
                            store::SummaryStore* store,
                            const BatchAnalyzer::ReportCallback& on_report) {
   ipa::CrossProgramCache cache;
-  const bool use_store = store != nullptr && options.shared_summaries;
   size_t preloaded = 0;
-  if (use_store) {
+  if (store) {
     preloaded = store->preload(cache);
     options.share_with = &cache;
   }
   BatchAnalyzer analyzer(options);
   BatchReport report = analyzer.run(inputs, on_report);
-  if (use_store) {
+  if (store) {
     store->absorb(cache);
     // commit(), not flush(): in journal mode the absorb's fsync'd WAL batch
     // already made the run durable, so the O(store) rewrite is deferred to a

@@ -22,9 +22,7 @@ namespace sspar::driver {
 //   4. fill BatchStats::store_loaded/evicted/flushed/journal_replays from
 //      the store.
 //
-// `store` may be null — then this is exactly BatchAnalyzer::run. The store
-// steps are also skipped when options.shared_summaries is false (no shared
-// cache means nothing to preload into or absorb from).
+// `store` may be null — then this is exactly BatchAnalyzer::run.
 BatchReport run_with_store(const std::vector<ProgramInput>& inputs, BatchOptions options,
                            store::SummaryStore* store,
                            const BatchAnalyzer::ReportCallback& on_report = nullptr);

@@ -1,20 +1,13 @@
 #include "runtime/inspector.h"
 
 #include <algorithm>
-#include <chrono>
+#include <vector>
 
 namespace sspar::rt {
 
 bool is_nondecreasing(std::span<const int64_t> values) {
   for (size_t i = 1; i < values.size(); ++i) {
     if (values[i] < values[i - 1]) return false;
-  }
-  return true;
-}
-
-bool is_strictly_increasing(std::span<const int64_t> values) {
-  for (size_t i = 1; i < values.size(); ++i) {
-    if (values[i] <= values[i - 1]) return false;
   }
   return true;
 }
@@ -71,28 +64,6 @@ bool is_injective(std::span<const int64_t> values, int64_t universe_hint) {
 bool is_subset_injective(std::span<const int64_t> values, int64_t min_value,
                          int64_t universe_hint) {
   return injective_impl(values, min_value, universe_hint);
-}
-
-InspectionResult inspect(std::span<const int64_t> values, int64_t universe_hint) {
-  auto t0 = std::chrono::steady_clock::now();
-  InspectionResult result;
-  result.nondecreasing = is_nondecreasing(values);
-  result.strictly_increasing = result.nondecreasing && is_strictly_increasing(values);
-  result.injective = is_injective(values, universe_hint);
-  result.inspection_seconds = std::chrono::duration<double>(
-      std::chrono::steady_clock::now() - t0).count();
-  return result;
-}
-
-uint64_t InspectorExecutor::clock_now() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-double InspectorExecutor::seconds_since(uint64_t t0) {
-  return (clock_now() - t0) * 1e-9;
 }
 
 }  // namespace sspar::rt

@@ -13,7 +13,7 @@
 // peer disconnects. Finished handler threads are reaped by the accept loop
 // (join + close), so a long-lived daemon's thread count tracks its LIVE
 // connections, not its connection history. Analysis parallelism *within* a
-// request is the batch driver's rt::ThreadPool, bounded by
+// request is the batch driver's own lanes, bounded by
 // ServerOptions::threads. A client that disconnects mid-request or
 // mid-response never takes the server down: writes use MSG_NOSIGNAL and
 // failures just close that connection.

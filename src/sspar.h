@@ -23,8 +23,8 @@
 // BatchStats as JSON — the `sspar-analyze --json` document.
 //
 // Lower-level entry points: ast::parse_and_resolve, core::Analyzer,
-// core::Parallelizer, interp::Interpreter (dynamic oracle), rt::ThreadPool,
-// corpus::all_entries().
+// core::Parallelizer, interp::Interpreter (dynamic oracle), the rt:: index
+// property checks behind hybrid verdicts, corpus::all_entries().
 #pragma once
 
 #include "core/analyzer.h"        // IWYU pragma: export
@@ -42,7 +42,6 @@
 #include "pipeline/assumptions.h"  // IWYU pragma: export
 #include "pipeline/session.h"     // IWYU pragma: export
 #include "runtime/inspector.h"    // IWYU pragma: export
-#include "runtime/thread_pool.h"  // IWYU pragma: export
 #include "support/json.h"         // IWYU pragma: export
 #include "symbolic/context.h"     // IWYU pragma: export
 #include "transform/omp_emitter.h"  // IWYU pragma: export

@@ -2,8 +2,10 @@
 // programs must not abort the batch), and option handling.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "corpus/corpus.h"
@@ -124,7 +126,7 @@ TEST(BatchAnalyzer, SingleThreadRunsSeriallyOnCallingThread) {
   });
 
   // Serial mode: every report was produced on the calling thread, in input
-  // order — no pool threads were involved at all.
+  // order — no helper lanes were involved at all.
   ASSERT_EQ(streamed.size(), inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
     EXPECT_EQ(streamed[i], inputs[i].name);
@@ -225,6 +227,54 @@ TEST(BatchAnalyzer, DynamicDispatchMatchesTheSerialRunOnRisingSizes) {
           << inputs[i].name;
     }
     EXPECT_EQ(report.stats, serial.stats);
+  }
+}
+
+TEST(BatchAnalyzer, RepeatedConcurrentRunsJoinEveryLaneAndAnalyzeEachProgramOnce) {
+  // Each run starts and joins its own lanes. A lane left running past the
+  // end of run(), or one that analyzes a program twice, shows up here as a
+  // report that differs from the serial run or as a missing or doubled
+  // callback. Helper lanes linger in the callback before recording, so a
+  // run that returned without joining them would miss their reports.
+  const std::vector<ProgramInput> inputs = {rising(2), rising(0), rising(1)};
+  const BatchReport serial = BatchAnalyzer(BatchOptions{1, {}}).run(inputs);
+  const BatchAnalyzer analyzer(BatchOptions{4, {}});
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 100; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::multiset<std::string> seen;
+    BatchReport report = analyzer.run(inputs, [&](const ProgramReport& p) {
+      if (std::this_thread::get_id() != caller) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      seen.insert(p.name);
+    });
+    ASSERT_EQ(seen.size(), inputs.size());
+    ASSERT_EQ(report.programs.size(), inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ASSERT_EQ(seen.count(inputs[i].name), 1u) << inputs[i].name;
+      ASSERT_EQ(report.programs[i].result.output, serial.programs[i].result.output)
+          << inputs[i].name;
+    }
+    ASSERT_EQ(report.stats, serial.stats);
+  }
+}
+
+TEST(BatchAnalyzer, ACallbackExceptionOnAnyLaneReachesTheCaller) {
+  // Whichever lane analyzes "p3" (a helper or the calling thread), its
+  // callback's exception must come out of run(), after the lanes joined.
+  std::vector<ProgramInput> inputs;
+  for (int i = 0; i < 8; ++i) inputs.push_back(good("p" + std::to_string(i)));
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (int round = 0; round < 20; ++round) {
+      EXPECT_THROW(BatchAnalyzer(BatchOptions{threads, {}})
+                       .run(inputs,
+                            [](const ProgramReport& p) {
+                              if (p.name == "p3") throw std::runtime_error("stop");
+                            }),
+                   std::runtime_error);
+    }
   }
 }
 

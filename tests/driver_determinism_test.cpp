@@ -136,7 +136,6 @@ TEST(DriverDeterminism, StatsEqualityIgnoresOnlyTheSchedulingDependentCounters) 
         &BatchStats::cross_summary_requests, &BatchStats::cross_summary_entries,
         &BatchStats::summary_scc, &BatchStats::store_loaded, &BatchStats::store_hits,
         &BatchStats::store_misses, &BatchStats::store_evicted, &BatchStats::store_flushed,
-        &BatchStats::shed, &BatchStats::timed_out, &BatchStats::recovered,
         &BatchStats::journal_replays}) {
     BatchStats changed;
     changed.*field = 1;

@@ -785,17 +785,26 @@ TEST(StoreBatch, SameNameDifferentBodyRecursiveHelpersDoNotCollide) {
   ASSERT_TRUE(warm.open());
   driver::BatchReport warm_run = driver::run_with_store(inputs, options, &warm);
 
-  driver::BatchOptions isolated = options;
-  isolated.shared_summaries = false;
-  driver::BatchReport unshared = driver::BatchAnalyzer(isolated).run(inputs);
-
-  ASSERT_EQ(shared.programs.size(), unshared.programs.size());
-  for (size_t i = 0; i < shared.programs.size(); ++i) {
-    EXPECT_EQ(shared.programs[i].result.output, unshared.programs[i].result.output);
-    EXPECT_EQ(warm_run.programs[i].result.output, unshared.programs[i].result.output);
+  // The unshared reference: one single-input run per program, whose fresh
+  // per-run cache cannot share across programs.
+  const driver::BatchAnalyzer analyzer(options);
+  std::vector<driver::ProgramReport> unshared;
+  uint64_t unshared_hits = 0;
+  for (const driver::ProgramInput& input : inputs) {
+    driver::BatchReport one = analyzer.run({input});
+    unshared_hits += one.shared_cache.hits;
+    unshared.push_back(std::move(one.programs.front()));
   }
-  EXPECT_EQ(shared.stats.parallel, unshared.stats.parallel);
-  EXPECT_EQ(warm_run.stats.parallel, unshared.stats.parallel);
+  EXPECT_EQ(unshared_hits, 0u);
+
+  ASSERT_EQ(shared.programs.size(), unshared.size());
+  for (size_t i = 0; i < shared.programs.size(); ++i) {
+    EXPECT_EQ(shared.programs[i].result.output, unshared[i].result.output);
+    EXPECT_EQ(warm_run.programs[i].result.output, unshared[i].result.output);
+  }
+  const int unshared_parallel = driver::BatchAnalyzer::aggregate(unshared).parallel;
+  EXPECT_EQ(shared.stats.parallel, unshared_parallel);
+  EXPECT_EQ(warm_run.stats.parallel, unshared_parallel);
   std::remove(path.c_str());
 }
 

@@ -17,7 +17,9 @@ BENCHMARK.json's end_to_end list. Traced runs add two per-layer checks,
 each of which may drop by at most TRACED_BOUND: ipa.cross_cache_hit_ratio
 (the cross-program summary cache stops paying) and driver.lane_utilization
 (batch lanes wait idle behind the largest program, as under a static split
-of the input list).
+of the input list). Traced result lines carry only per-layer metrics, so a
+traced median is taken over the traced runs alone; CI runs three traced
+batch-cold pairs (seeds 1-3) so that one noisy run cannot move it.
 
 Exit status: 0 clean, 1 regression or failed run, 2 unreadable input.
 """
