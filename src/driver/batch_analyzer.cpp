@@ -28,12 +28,12 @@ unsigned clamp_threads(unsigned requested) {
 }
 
 ProgramReport analyze_one(const ProgramInput& input, const core::AnalyzerOptions& options,
-                          ipa::CrossProgramCache& shared) {
+                          ipa::CrossProgramCache* shared) {
   ProgramReport report;
   report.name = input.name;
   try {
     pipeline::Session session(input.source, input.assumptions);
-    session.share_summaries(&shared);
+    session.share_summaries(shared);
     if (session.parse()) {
       session.analyze(options);
       if (const auto* verdicts = session.parallelize()) report.result.verdicts = *verdicts;
@@ -110,14 +110,11 @@ BatchReport BatchAnalyzer::run(const std::vector<ProgramInput>& inputs,
                                const ReportCallback& on_report) const {
   BatchReport report;
   report.programs.resize(inputs.size());
-  // One content-addressed summary cache for the whole batch: sessions
-  // rehydrate byte-identical helper summaries other entries already
-  // computed. Thread-safe; verdicts are identical with or without it. A
-  // caller-owned cache (options_.share_with) — typically warmed from a
-  // store::SummaryStore — takes the place of the per-run one, carrying
-  // summaries across runs.
-  ipa::CrossProgramCache run_cache;
-  ipa::CrossProgramCache& shared = options_.share_with ? *options_.share_with : run_cache;
+  // Sessions share summaries only through a caller-owned cache
+  // (options_.share_with), typically warmed from a store::SummaryStore.
+  // Without one, each session keeps its own SummaryDB and computes no
+  // content keys or portable summaries. Verdicts are identical either way.
+  ipa::CrossProgramCache* shared = options_.share_with;
   if (!inputs.empty()) {
     if (threads_ == 1) {
       // threads == 1 means "serial on the calling thread": no lanes, and the
@@ -173,10 +170,12 @@ BatchReport BatchAnalyzer::run(const std::vector<ProgramInput>& inputs,
     }
   }
   report.stats = aggregate(report.programs);
-  report.shared_cache = shared.stats();
-  // The set of unique content keys is scheduling-independent (every
-  // requested-and-missed key gets inserted), so this stays deterministic.
-  report.stats.cross_summary_entries = static_cast<int>(shared.size());
+  if (shared) {
+    report.shared_cache = shared->stats();
+    // The set of unique content keys is scheduling-independent (every
+    // requested-and-missed key gets inserted), so this stays deterministic.
+    report.stats.cross_summary_entries = static_cast<int>(shared->size());
+  }
   return report;
 }
 

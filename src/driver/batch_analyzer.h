@@ -59,11 +59,13 @@ struct ProgramReport {
   // Interprocedural summary-cache counters of this program's session
   // (computed/hits/context_computed/applications plus this session's
   // cross-program shared_hits/shared_misses; all zero for single-function
-  // programs). With threads > 1 the shared hit/miss split depends on
-  // scheduling, and so do computed, hits and applications: a summary
-  // rehydrated from the cross-program cache is neither computed here nor
-  // applies its callees' summaries. materialized(), context_computed,
-  // shared_requests(), store_hits and scc_summaries are deterministic.
+  // programs, and the shared ones zero unless BatchOptions::share_with
+  // passes a cache). With a shared cache and threads > 1 the shared hit/miss
+  // split depends on scheduling, and so do computed, hits and applications:
+  // a summary rehydrated from the cross-program cache is neither computed
+  // here nor applies its callees' summaries. materialized(),
+  // context_computed, shared_requests(), store_hits and scc_summaries are
+  // deterministic.
   ipa::SummaryDB::Stats summary_cache;
 
   // Per-program counts over result.verdicts (all zero when !ok).
@@ -98,20 +100,21 @@ struct BatchStats {
   int programs_with_pattern = 0;
   // Interprocedural summary-cache totals across all program sessions.
   // summaries_computed counts materialized summaries and is deterministic.
-  // summary_cache_hits and summary_applications follow the cross-cache
-  // hit/miss split, so with threads > 1 they depend on scheduling; they are
-  // reported but left out of operator==.
+  // With a shared cache (BatchOptions::share_with), summary_cache_hits and
+  // summary_applications follow the cross-cache hit/miss split, so with
+  // threads > 1 they depend on scheduling; they are reported but left out
+  // of operator==. Without one they are deterministic too.
   int summaries_computed = 0;
   int summary_cache_hits = 0;
   int summary_applications = 0;
   // Context-sensitive re-summaries (entry-fact fingerprint != 0).
   int summary_context_computed = 0;
-  // Cross-program shared-cache totals. Both are deterministic for a fixed
-  // input set at ANY thread count: each session performs a fixed number of
-  // shared lookups, and the set of unique content keys does not depend on
-  // scheduling (only the hit/miss split does — that split lives in
-  // BatchReport::shared_cache and per-program summary_cache, outside this
-  // equality).
+  // Cross-program shared-cache totals, both 0 unless BatchOptions::share_with
+  // passes a cache. Both are deterministic for a fixed input set at ANY
+  // thread count: each session performs a fixed number of shared lookups,
+  // and the set of unique content keys does not depend on scheduling (only
+  // the hit/miss split does — that split lives in BatchReport::shared_cache
+  // and per-program summary_cache, outside this equality).
   int cross_summary_requests = 0;  // shared lookups across all sessions
   int cross_summary_entries = 0;   // unique content keys cached at end of run
   // SCC-member (recursive-function) summaries materialized across all
@@ -144,10 +147,10 @@ struct BatchStats {
 struct BatchReport {
   std::vector<ProgramReport> programs;  // in input order
   BatchStats stats;
-  // Raw counters of the run's cross-program summary cache. lookups/entries
-  // are deterministic; the hit/miss split can vary with scheduling when
-  // sessions race on one key — never the verdicts, which are identical
-  // either way.
+  // Raw counters of the cache passed in BatchOptions::share_with, all zero
+  // without one. lookups/entries are deterministic; the hit/miss split can
+  // vary with scheduling when sessions race on one key — never the
+  // verdicts, which are identical either way.
   ipa::CrossProgramCache::Stats shared_cache;
 };
 
@@ -165,14 +168,16 @@ struct BatchOptions {
   // Verdicts and aggregates are deterministic for every setting.
   unsigned threads = 0;
   core::AnalyzerOptions analyzer;
-  // Every run shares one content-addressed summary cache across all its
-  // program sessions (ipa::CrossProgramCache): corpus entries containing
-  // byte-identical helper functions reuse each other's summaries instead of
-  // re-deriving them. Verdicts are identical with or without sharing. By
-  // default the cache is a fresh per-run one; a non-null `share_with` takes
-  // its place, sharing across RUNS, and entries preloaded into it from a
-  // store::SummaryStore count as store hits. The caller keeps ownership and
-  // must keep it alive for the duration of run().
+  // A content-addressed summary cache (ipa::CrossProgramCache) shared by
+  // every program session of a run, and by every run given the same cache:
+  // sessions rehydrate byte-identical helper summaries instead of
+  // re-deriving them, and entries preloaded from a store::SummaryStore
+  // count as store hits. run_with_store passes one. When null (the
+  // default), each session keeps its summaries to itself and pays for no
+  // content keys or portable conversion; at the corpus's hit ratios that is
+  // the faster choice. Verdicts are identical with or without sharing. The
+  // caller keeps ownership and must keep the cache alive for the duration
+  // of run().
   ipa::CrossProgramCache* share_with = nullptr;
 };
 
@@ -186,7 +191,8 @@ class BatchAnalyzer {
 
   explicit BatchAnalyzer(BatchOptions options = {});
 
-  // Analyzes all inputs concurrently; never throws for bad input programs.
+  // Analyzes all inputs concurrently, sharing summaries through
+  // options.share_with when it is set; never throws for bad input programs.
   // `on_report`, if given, streams each report as it completes. An
   // exception thrown by `on_report` stops the run and propagates to the
   // caller after every lane has joined.

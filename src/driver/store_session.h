@@ -22,7 +22,8 @@ namespace sspar::driver {
 //   4. fill BatchStats::store_loaded/evicted/flushed/journal_replays from
 //      the store.
 //
-// `store` may be null — then this is exactly BatchAnalyzer::run.
+// `store` may be null — then this is exactly BatchAnalyzer::run, with no
+// shared cache.
 BatchReport run_with_store(const std::vector<ProgramInput>& inputs, BatchOptions options,
                            store::SummaryStore* store,
                            const BatchAnalyzer::ReportCallback& on_report = nullptr);

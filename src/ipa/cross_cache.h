@@ -24,8 +24,10 @@
 //     Identical key => identical analysis input => identical summary.
 //
 //   * CrossProgramCache — a thread-safe map from CacheKey to an immutable
-//     PortableSummary, shared by driver::BatchAnalyzer across every corpus
-//     entry's session. First writer wins; readers get a shared_ptr snapshot
+//     PortableSummary, shared across sessions: a batch run's sessions when
+//     the caller passes one (driver::BatchOptions::share_with, as the
+//     store-backed CLI and server do), and the incremental engine's
+//     successive updates. First writer wins; readers get a shared_ptr snapshot
 //     and never block each other. Whether a session hits or misses can
 //     depend on scheduling, but the rehydrated summary is always identical
 //     to what the session would have computed, so batch verdicts stay

@@ -124,8 +124,9 @@ class Session {
   // see ipa/cross_cache.h): this session's summary misses then rehydrate
   // byte-identical helper summaries computed by OTHER sessions, and publish
   // their own. Call before the first analyze(); `cache` must outlive the
-  // session's analysis stages. The batch driver shares one cache across all
-  // corpus entries.
+  // session's analysis stages. Without a cache the session computes no
+  // content keys. The batch driver attaches the cache passed in
+  // BatchOptions::share_with, if any.
   void share_summaries(ipa::CrossProgramCache* cache) { summaries_->attach_shared(cache); }
   const Assumptions& assumptions() const { return assumptions_; }
   const std::string& source() const { return source_; }

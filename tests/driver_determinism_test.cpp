@@ -76,9 +76,15 @@ TEST(DriverDeterminism, RepeatedRunsAreStable) {
   EXPECT_TRUE(flatten(first) == flatten(second));
 }
 
+// One run whose sessions share a fresh cross-program cache.
+BatchReport run_shared(unsigned threads, const std::vector<ProgramInput>& inputs) {
+  ipa::CrossProgramCache cache;
+  return BatchAnalyzer(BatchOptions{threads, {}, &cache}).run(inputs);
+}
+
 // Programs that share a two-level helper chain: h calls g, f calls h. A
 // session that computes h's summary applies g's at the call; a session that
-// rehydrates h from the cross-program cache applies none. Which one a
+// rehydrates h from a shared cross-program cache applies none. Which one a
 // session does depends on which lane reaches the key first.
 std::vector<ProgramInput> shared_helper_chain_batch() {
   std::vector<ProgramInput> inputs;
@@ -107,14 +113,34 @@ std::vector<ProgramInput> shared_helper_chain_batch() {
 
 TEST(DriverDeterminism, SharedHelperChainStatsAgreeAcrossThreadCounts) {
   auto inputs = shared_helper_chain_batch();
-  BatchReport serial = BatchAnalyzer(BatchOptions{1, {}}).run(inputs);
+  BatchReport serial = run_shared(1, inputs);
   ASSERT_EQ(serial.stats.failed, 0);
   ASSERT_GT(serial.stats.cross_summary_requests, 0);
-  BatchAnalyzer wide(BatchOptions{4, {}});
   for (int run = 0; run < 40; ++run) {
-    BatchReport parallel = wide.run(inputs);
+    BatchReport parallel = run_shared(4, inputs);
     ASSERT_EQ(serial.stats, parallel.stats) << "run " << run;
     ASSERT_TRUE(flatten(serial) == flatten(parallel)) << "run " << run;
+  }
+}
+
+// Without BatchOptions::share_with no session touches a shared cache, so
+// even the counters operator== leaves out stop depending on scheduling.
+TEST(DriverDeterminism, WithoutASharedCacheEverySummaryCounterIsFixed) {
+  for (const auto& inputs : {shared_helper_chain_batch(), BatchAnalyzer::corpus_inputs()}) {
+    BatchReport serial = BatchAnalyzer(BatchOptions{1, {}}).run(inputs);
+    ASSERT_EQ(serial.stats.failed, 0);
+    ASSERT_GT(serial.stats.summary_applications, 0);
+    EXPECT_EQ(serial.shared_cache.lookups, 0u);
+    EXPECT_EQ(serial.stats.cross_summary_requests, 0);
+    for (int run = 0; run < 5; ++run) {
+      BatchReport wide = BatchAnalyzer(BatchOptions{8, {}}).run(inputs);
+      EXPECT_EQ(wide.shared_cache.lookups, 0u) << "run " << run;
+      EXPECT_EQ(serial.stats, wide.stats) << "run " << run;
+      EXPECT_EQ(serial.stats.summary_cache_hits, wide.stats.summary_cache_hits)
+          << "run " << run;
+      EXPECT_EQ(serial.stats.summary_applications, wide.stats.summary_applications)
+          << "run " << run;
+    }
   }
 }
 

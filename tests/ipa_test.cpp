@@ -1163,18 +1163,21 @@ TEST(CrossCache, DifferentAssumptionsDoNotShare) {
       << "nrows >= 1 and nrows >= 64 must not share summaries";
 }
 
+// One batch run whose sessions share a fresh cross-program cache.
+driver::BatchReport run_shared(unsigned threads, const std::vector<driver::ProgramInput>& inputs) {
+  ipa::CrossProgramCache cache;
+  return driver::BatchAnalyzer(driver::BatchOptions{threads, {}, &cache}).run(inputs);
+}
+
 TEST(CrossCache, BatchWithAndWithoutSharingAgreeEverywhere) {
   auto inputs = driver::BatchAnalyzer::corpus_inputs();
-  driver::BatchOptions options;
-  options.threads = 1;
-  const driver::BatchAnalyzer analyzer(options);
-  driver::BatchReport shared = analyzer.run(inputs);
+  driver::BatchReport shared = run_shared(1, inputs);
   // The isolated reference: one single-input run per program, whose fresh
-  // per-run cache cannot share across programs.
+  // cache cannot share across programs.
   std::vector<driver::ProgramReport> isolated;
   uint64_t isolated_hits = 0;
   for (const driver::ProgramInput& input : inputs) {
-    driver::BatchReport one = analyzer.run({input});
+    driver::BatchReport one = run_shared(1, {input});
     isolated_hits += one.shared_cache.hits;
     isolated.push_back(std::move(one.programs.front()));
   }
@@ -1195,6 +1198,30 @@ TEST(CrossCache, BatchWithAndWithoutSharingAgreeEverywhere) {
   EXPECT_GT(shared.stats.cross_summary_entries, 0);
   // ...and the per-program runs shared nothing.
   EXPECT_EQ(isolated_hits, 0u);
+}
+
+TEST(CrossCache, SessionWithoutACacheComputesNoContentKeys) {
+  // Content keys address only the shared cache, so a session without one
+  // (every batch run without BatchOptions::share_with) prints and hashes
+  // none of its functions.
+  const corpus::Entry* entry = corpus::find_entry("ipa_cg_chain");
+  ASSERT_NE(entry, nullptr);
+  pipeline::Session alone(entry->source, corpus::analyzer_assumptions(*entry));
+  ASSERT_NE(alone.parallelize(), nullptr);
+  ASSERT_GT(alone.summaries().stats().materialized(), 0u);
+  for (const auto& function : alone.program()->functions) {
+    EXPECT_EQ(alone.analyzer()->content_key(function.get()), nullptr) << function->name;
+  }
+  // The same program with a cache attached keys the functions it calls.
+  ipa::CrossProgramCache cache;
+  pipeline::Session shared(entry->source, corpus::analyzer_assumptions(*entry));
+  shared.share_summaries(&cache);
+  ASSERT_NE(shared.parallelize(), nullptr);
+  int keyed = 0;
+  for (const auto& function : shared.program()->functions) {
+    if (shared.analyzer()->content_key(function.get()) != nullptr) ++keyed;
+  }
+  EXPECT_GT(keyed, 0);
 }
 
 // --------------------------------------------------------------------------
@@ -1436,8 +1463,8 @@ TEST(Diagnostics, TwoDifferentAbandonedCallsInOneLoopBothSurface) {
 
 TEST(IpaBatch, OneVsEightThreadRunsAreIdenticalOverTheCorpus) {
   auto inputs = driver::BatchAnalyzer::corpus_inputs();
-  driver::BatchReport serial = driver::BatchAnalyzer(driver::BatchOptions{1, {}}).run(inputs);
-  driver::BatchReport wide = driver::BatchAnalyzer(driver::BatchOptions{8, {}}).run(inputs);
+  driver::BatchReport serial = run_shared(1, inputs);
+  driver::BatchReport wide = run_shared(8, inputs);
   EXPECT_EQ(serial.stats, wide.stats);
   ASSERT_EQ(serial.programs.size(), wide.programs.size());
   for (size_t i = 0; i < serial.programs.size(); ++i) {
@@ -1447,10 +1474,10 @@ TEST(IpaBatch, OneVsEightThreadRunsAreIdenticalOverTheCorpus) {
   // The interprocedural entries actually exercised the summary machinery.
   EXPECT_GE(serial.stats.summaries_computed, 4);
   EXPECT_GE(serial.stats.summary_applications, 4);
-  // The cross-program cache is on by default, and its deterministic
-  // counters (lookups performed, unique content keys, context summaries
-  // materialized) must not depend on the thread count — only the hit/miss
-  // split may (it lives outside BatchStats equality).
+  // The shared cache's deterministic counters (lookups performed, unique
+  // content keys, context summaries materialized) must not depend on the
+  // thread count — only the hit/miss split may (it lives outside BatchStats
+  // equality).
   EXPECT_GT(serial.stats.cross_summary_requests, 0);
   EXPECT_GT(serial.stats.cross_summary_entries, 0);
   EXPECT_GT(serial.stats.summary_context_computed, 0);

@@ -785,8 +785,8 @@ TEST(StoreBatch, SameNameDifferentBodyRecursiveHelpersDoNotCollide) {
   ASSERT_TRUE(warm.open());
   driver::BatchReport warm_run = driver::run_with_store(inputs, options, &warm);
 
-  // The unshared reference: one single-input run per program, whose fresh
-  // per-run cache cannot share across programs.
+  // The unshared reference: one single-input run per program, with no
+  // shared cache.
   const driver::BatchAnalyzer analyzer(options);
   std::vector<driver::ProgramReport> unshared;
   uint64_t unshared_hits = 0;
